@@ -125,7 +125,11 @@ def main():
     env["SPARK_MASTER"] = f"local[{min(4, os.cpu_count() or 1)}]"
     env["SPARK_LOCAL_DIRS"] = run_dir
     heap = driver_heap()
+    # Two GC workers, one concurrent marker and two JIT compilers, so that
+    # the JVM's helper threads do not crowd Spark's task threads off the
+    # cores.
     cmd = ["java", f"-Xms{heap}", f"-Xmx{heap}", "-Xss64m",
+           "-XX:ParallelGCThreads=2", "-XX:ConcGCThreads=1", "-XX:CICompilerCount=2",
            "-Dspark.driver.host=127.0.0.1", "-Dspark.ui.enabled=false",
            f"-Djava.io.tmpdir={run_dir}", "-cp", cp, "kbench.Main",
            "--workload", args.workload, "--seed", str(args.seed),

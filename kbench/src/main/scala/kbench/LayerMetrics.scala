@@ -11,11 +11,16 @@ object LayerMetrics {
   def overheadPct(ownSeconds: Double, passSeconds: Double): Double =
     if (passSeconds <= ownSeconds) 0.0 else 100 * ownSeconds / (passSeconds - ownSeconds)
 
-  /** `planMs` are planner latencies: Cypher → parse → rewrite decision. */
+  /** `planMs` are planner latencies: Cypher → parse → rewrite decision.
+    * `viewPass` and `rawPass` are the timed passes on the chosen and the
+    * raw plans, in seconds.
+    */
   def report(
       tracer: Tracer,
       report: Report,
       planMs: Seq[Double],
+      viewPass: Seq[Double],
+      rawPass: Seq[Double],
       overheadPct: Double,
       viewEstimated: Double,
       viewActual: Double,
@@ -36,6 +41,8 @@ object LayerMetrics {
     val executeJobs = executes.map(_.counts.getOrElse("spark_jobs", 0.0)).sum
     val executeHops = executes.map(_.counts.getOrElse("hops", 0.0)).sum
 
+    report.metric("query_s", Stat.median(viewPass), "s")
+    report.metric("raw_query_s", Stat.median(rawPass), "s")
     report.metric("plan_p50_ms", if (planMs.isEmpty) 0.0 else Stat.quantile(planMs, 0.50), "ms")
     report.metric("plan_p95_ms", if (planMs.isEmpty) 0.0 else Stat.quantile(planMs, 0.95), "ms")
     report.metric("parse.ms", 1e3 * med(secs("parse")), "ms")

@@ -4,6 +4,13 @@ package kbench
 object Stat {
   def median(xs: Seq[Double]): Double = quantile(xs, 0.5)
 
+  /** Median over passes run side by side of raw-plan time ÷ chosen-plan
+    * time. Both passes of a pair see the same host speed, so the ratio
+    * holds still when that speed changes between runs.
+    */
+  def speedup(viewPass: Seq[Double], rawPass: Seq[Double]): Double =
+    median(rawPass.zip(viewPass).map { case (r, v) => r / v })
+
   /** Linear-interpolated quantile, `q` in [0, 1]. */
   def quantile(xs: Seq[Double], q: Double): Double = {
     require(xs.nonEmpty, "no samples")

@@ -36,45 +36,46 @@ object SparkWorkload {
     */
   val BudgetPerBaseEdge = 7L
 
-  /** Set-up repetitions timed after one warm-up set-up. */
-  val SetupReps = 2
+  /** Rounds that start with a timed set-up. The first runs in a cold JVM
+    * and its set-up is up to 1.4x slower: it runs no passes, and the set-up
+    * median leaves it out.
+    */
+  val SetupRounds = 3
+
+  /** Rounds with a timed pass on each plan kind, at least: an odd number, so
+    * that the median is one round's pass.
+    */
+  val PassRounds = 3
 
   /** Planner calls for the plan latency percentiles, after three times as
     * many untimed ones: the solver's code is not yet compiled after set-up.
     */
   val PlanSamples = 500
 
-  /** Timed passes per plan kind, at least, whatever `--seconds` says. */
-  val MinPasses = 2
-
   private def names(rnd: Random, base: Seq[String]): Seq[String] = {
     val tag = rnd.alphanumeric.filter(_.isLetter).take(2).mkString.toLowerCase
     base.map(b => s"${b}_$tag")
   }
 
-  /** Summarized provenance graph with the paper's Q1 shape (Lst. 1) and the
-    * ancestor query, both `[*0..0]`: two edge hops, which Kaskade rewrites to
-    * one hop over the Job→Job 2-hop connector. Deeper bounds and Q3
-    * (descendants, the same forward traversal as Q1) do not fit the driver's
-    * time budget: every hop costs about a second here. Below about 230 jobs
-    * the selector trades the connector for the source-to-sink one, so there
-    * is no smaller size for smoke runs.
+  /** Summarized provenance graph with the paper's Q1 (Lst. 1) at `[*0..0]`:
+    * two edge hops, which Kaskade rewrites to one hop over the Job→Job 2-hop
+    * connector. Deeper bounds, Q2 (ancestors) and Q3 (descendants) do not
+    * fit the benchmark's time budget: every hop costs about a second here,
+    * and a run must stay short enough on a loaded host. Below about 230
+    * jobs the selector trades the connector for the source-to-sink one, so
+    * there is no smaller size for smoke runs.
     */
   val prov: Spec = Spec(
     name = "prov-views",
     schema = GraphSchema.provSummarized,
     graph = (spark, seed) => GraphGen.provSummarized(spark, nJobs = 256, seed = seed),
     mix = rnd => {
-      def q(kind: String, hi: Int, ancestors: Boolean): MixQuery = {
-        val Seq(j1, f1, f2, j2) = names(rnd, Seq("j1", "f1", "f2", "j2"))
-        val ret = if (ancestors) s"$j2 AS root, $j1 AS ancestor" else s"$j1 AS root, $j2 AS reached"
-        MixQuery(kind,
-          s"""MATCH ($j1:Job) -[:WRITES_TO]-> ($f1:File),
-             |      ($f1:File) -[r*0..$hi]-> ($f2:File),
-             |      ($f2:File) -[:IS_READ_BY]-> ($j2:Job)
-             |RETURN $ret""".stripMargin)
-      }
-      rnd.shuffle(Seq(q("q1", 0, ancestors = false), q("q2", 0, ancestors = true)))
+      val Seq(j1, f1, f2, j2) = names(rnd, Seq("j1", "f1", "f2", "j2"))
+      Seq(MixQuery("q1",
+        s"""MATCH ($j1:Job) -[:WRITES_TO]-> ($f1:File),
+           |      ($f1:File) -[r*0..0]-> ($f2:File),
+           |      ($f2:File) -[:IS_READ_BY]-> ($j2:Job)
+           |RETURN $j1 AS root, $j2 AS reached""".stripMargin))
     },
     oracleOnQ1 = true,
   )
@@ -183,7 +184,7 @@ object SparkWorkload {
       * earlier steps released, so that work does not land inside the next
       * timing.
       */
-    def settle(): Unit = { System.gc(); Thread.sleep(1000) }
+    def settle(): Unit = { System.gc(); Thread.sleep(250) }
 
     /** The plan Kaskade picks for a query: parse, then rewrite. */
     def chosenPlan(s: Setup)(m: MixQuery): Plan = {
@@ -221,23 +222,55 @@ object SparkWorkload {
       ((System.nanoTime() - t0) / 1e9, results)
     }
 
-    // Warm-up set-up, untimed: the first one in a JVM runs up to 2x slower,
-    // and it warms the Spark code the passes share.
-    teardown(setup())
-
-    // Timed set-ups; the last one serves the passes.
-    val setupReps = if (args.tiny) 1 else SetupReps
-    val setups = (1 to setupReps).map { i =>
-      settle()
-      val t0 = System.nanoTime()
-      val s = setup()
-      val dt = (System.nanoTime() - t0) / 1e9
-      if (i < setupReps) teardown(s)
-      (s, dt)
+    // Rounds: a timed set-up, then an untimed pass on the chosen plans, then
+    // a timed pass on the chosen plans and one on the raw plans. The first
+    // pass after a set-up ran 10-30% slower than the next, whichever plan
+    // kind it was; the untimed pass takes that. The cold first round only
+    // sets up. Later rounds run their passes on the last set-up's views,
+    // until there are `PassRounds` and `--seconds` has passed. Spreading the
+    // passes over the run, between set-ups, makes the medians average over
+    // more of the host's speed changes than passes run back to back would.
+    // After each round, outside the timings, every rewritten result must
+    // equal the raw one.
+    val (setupRounds, passRounds) = if (args.tiny) (1, 1) else (SetupRounds, PassRounds)
+    val setupTimes, viewPass, rawPass = scala.collection.mutable.ArrayBuffer.empty[Double]
+    var current: Option[Setup] = None
+    var ownInPasses = 0L
+    var firstRawQ1: Option[(DataFrame, Array[Row])] = None
+    val tStart = System.nanoTime()
+    var i = 0
+    while (i < setupRounds || viewPass.size < passRounds || (System.nanoTime() - tStart) / 1e9 < args.seconds) {
+      if (i < setupRounds) {
+        current.foreach(teardown)
+        settle()
+        val t0 = System.nanoTime()
+        current = Some(setup())
+        setupTimes += (System.nanoTime() - t0) / 1e9
+      }
+      if (i > 0 || setupRounds == 1) {
+        val s = current.get
+        settle()
+        if (i < setupRounds) pass("warmup.view", chosenPlan(s), "warmup")
+        val (u0, own0) = (Usage.now(), tracer.ownNanos)
+        val v = pass("pass.view", chosenPlan(s), "execute")
+        val r = pass("pass.raw", rawPlan, "raw")
+        ownInPasses += tracer.ownNanos - own0
+        Log(f"round $i: view ${v._1}%.3f s, raw ${r._1}%.3f s; ${Usage.now() - u0}")
+        viewPass += v._1
+        rawPass += r._1
+        // A query that threw is already counted as failed; compare the rest.
+        for (((m, Some(vr)), Some(rr)) <- mix.zip(v._2).zip(r._2)) {
+          report.check(s"${m.kind} chosen plan equals raw plan")(canon(vr._2) == canon(rr._2))
+          if (m.kind == "q1" && firstRawQ1.isEmpty) firstRawQ1 = Some(rr)
+        }
+      }
+      i += 1
     }
-    val setupTimes = setups.map(_._2)
-    val state = setups.last._1
+    val state = current.get
     Log(f"setup_s samples: ${setupTimes.map(t => f"$t%.3f").mkString(" ")}")
+    Log(f"query_s samples: ${viewPass.map(t => f"$t%.3f").mkString(" ")}")
+    Log(f"raw_query_s samples: ${rawPass.map(t => f"$t%.3f").mkString(" ")}; " +
+      f"view_speedup (Fig. 7 ratio) ${Stat.speedup(viewPass.toSeq, rawPass.toSeq)}%.2f")
 
     // Planner latency, traced runs only: Cypher → parse → rewrite decision
     // over the built views (their sizes as materialized), without running
@@ -251,34 +284,6 @@ object SparkWorkload {
         (System.nanoTime() - t0) / 1e6
       }
     }.drop(3 * PlanSamples)
-
-    // Timed passes: chosen plans and raw plans alternate, and so does which
-    // of the two goes first, so the first pair's coldness hits both. After
-    // each pair, outside the timings, every rewritten result must equal the
-    // raw one.
-    settle()
-    val viewPass, rawPass = scala.collection.mutable.ArrayBuffer.empty[Double]
-    val ownAtStart = tracer.ownNanos
-    var firstRawQ1: Option[(DataFrame, Array[Row])] = None
-    val tStart = System.nanoTime()
-    var i = 0
-    val minPasses = if (args.tiny) 1 else MinPasses
-    while ((System.nanoTime() - tStart) / 1e9 < args.seconds || rawPass.size < minPasses) {
-      def viewRun() = pass("pass.view", chosenPlan(state), "execute")
-      def rawRun() = pass("pass.raw", rawPlan, "raw")
-      val (v, r) = if (i % 2 == 0) { val v = viewRun(); (v, rawRun()) } else { val r = rawRun(); (viewRun(), r) }
-      viewPass += v._1
-      rawPass += r._1
-      // A query that threw is already counted as failed; compare the rest.
-      for (((m, Some(vr)), Some(rr)) <- mix.zip(v._2).zip(r._2)) {
-        report.check(s"${m.kind} chosen plan equals raw plan")(canon(vr._2) == canon(rr._2))
-        if (m.kind == "q1" && firstRawQ1.isEmpty) firstRawQ1 = Some(rr)
-      }
-      i += 1
-    }
-    Log(f"query_s samples: ${viewPass.map(t => f"$t%.3f").mkString(" ")}")
-    Log(f"raw_query_s samples: ${rawPass.map(t => f"$t%.3f").mkString(" ")}; " +
-      f"raw over chosen (Fig. 7 ratio) ${Stat.median(rawPass.toSeq) / Stat.median(viewPass.toSeq)}%.2f")
 
     // The raw blast-radius result against DuckDB's recursive CTE.
     if (spec.oracleOnQ1) mix.find(_.kind == "q1").foreach { m =>
@@ -294,13 +299,12 @@ object SparkWorkload {
     }
 
     if (!args.trace) {
-      report.metric("setup_s", Stat.median(setupTimes), "s")
-      report.metric("query_s", Stat.median(viewPass.toSeq), "s")
-      report.metric("raw_query_s", Stat.median(rawPass.toSeq), "s")
+      report.metric("setup_s", Stat.median(setupTimes.toSeq), "s")
+      report.metric("view_speedup", Stat.speedup(viewPass.toSeq, rawPass.toSeq), "ratio")
       report.metric("view_space_ratio", state.viewEdges.values.sum.toDouble / baseEdges, "ratio")
     } else {
-      LayerMetrics.report(tracer, report, planMs,
-        overheadPct = LayerMetrics.overheadPct((tracer.ownNanos - ownAtStart) / 1e9, viewPass.sum + rawPass.sum),
+      LayerMetrics.report(tracer, report, planMs, viewPass.toSeq, rawPass.toSeq,
+        overheadPct = LayerMetrics.overheadPct(ownInPasses / 1e9, viewPass.sum + rawPass.sum),
         viewEstimated = state.estimated.filter(e => state.viewEdges.contains(e._1)).values.sum,
         viewActual = state.viewEdges.values.sum.toDouble)
     }

@@ -94,3 +94,25 @@ object JvmStats {
       .filter(_.getType == java.lang.management.MemoryType.HEAP)
       .map(_.getPeakUsage.getUsed).sum / 1e6
 }
+
+/** Where a timed interval went: wall time, this thread's CPU, the process's
+  * CPU, JVM GC time and the host's steal time (all vCPUs, from /proc/stat).
+  */
+final case class Usage(wall: Double, threadCpu: Double, processCpu: Double, gc: Double, steal: Double) {
+  def -(o: Usage): Usage = Usage(wall - o.wall, threadCpu - o.threadCpu, processCpu - o.processCpu, gc - o.gc, steal - o.steal)
+  override def toString: String = f"wall=$wall%.3f thread=$threadCpu%.3f proc=$processCpu%.3f gc=$gc%.3f steal=$steal%.3f"
+}
+
+object Usage {
+  private val threads = ManagementFactory.getThreadMXBean
+  private val os = ManagementFactory.getOperatingSystemMXBean.asInstanceOf[com.sun.management.OperatingSystemMXBean]
+
+  private def steal: Double =
+    try {
+      val src = scala.io.Source.fromFile("/proc/stat")
+      try src.getLines().next().split("\\s+")(8).toDouble / 100 finally src.close()
+    } catch { case _: Exception => 0.0 }
+
+  def now(): Usage = Usage(System.nanoTime() / 1e9, threads.getCurrentThreadCpuTime / 1e9,
+    os.getProcessCpuTime / 1e9, JvmStats.gcSeconds, steal)
+}
