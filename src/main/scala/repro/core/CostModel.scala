@@ -3,56 +3,19 @@ package repro.core
 import repro.cypher.QueryGraph
 import repro.graph.{GraphSchema, GraphStats}
 
-/** Kaskade's cost model (paper § V-A): view sizes (edges when materialized),
-  * view creation cost (I/O-dominated, ∝ estimated size), and a query
-  * evaluation cost proxy (estimated traversal frontier work — our stand-in
-  * for the Neo4j cost-based optimizer the paper borrows).
+/** Kaskade's cost model (paper § V-A): view creation cost (I/O-dominated,
+  * ∝ the view's estimated size), and a query evaluation cost proxy
+  * (estimated traversal frontier work — our stand-in for the Neo4j
+  * cost-based optimizer the paper borrows).
   */
 object CostModel {
 
   /** The paper settles on α=95: an upper bound for most real-world graphs. */
   val DefaultAlpha = 95
 
-  /** Estimated size (edge count) of a view when materialized. */
-  def viewSize(view: CandidateView, stats: GraphStats, schema: GraphSchema): Double = view match {
-    case KHopConnectorView(_, _, k) =>
-      SizeEstimator.estimate(stats, schema, k, DefaultAlpha)
-
-    case SameVertexTypeConnectorView(_, maxHops) =>
-      // Variable-length contraction: bounded by the pairs reachable within
-      // maxHops; approximate with the k-hop estimate at the median hop count.
-      SizeEstimator.estimate(stats, schema, math.max(1, maxHops / 2), DefaultAlpha)
-
-    case SourceToSinkConnectorView(srcType, dstType) =>
-      // At most |sources| × |sinks| contracted edges.
-      stats.typeStats(srcType).n.toDouble * math.max(1L, stats.typeStats(dstType).n)
-
-    case SameEdgeTypeConnectorView(_, _, etype) =>
-      stats.edgeTypeCounts.getOrElse(etype, stats.edgeCount).toDouble
-
-    case VertexInclusionSummarizerView(vtypes) =>
-      val kept = vtypes.toSet
-      schema.edges
-        .filter(e => kept(e.srcType) && kept(e.dstType))
-        .map(e => stats.edgeTypeCounts.getOrElse(e.etype, 0L))
-        .sum.toDouble
-
-    case EdgeInclusionSummarizerView(etypes) =>
-      etypes.map(e => stats.edgeTypeCounts.getOrElse(e, 0L)).sum.toDouble
-
-    case VertexRemovalSummarizerView(vtype) =>
-      schema.edges
-        .filter(e => e.srcType != vtype && e.dstType != vtype)
-        .map(e => stats.edgeTypeCounts.getOrElse(e.etype, 0L))
-        .sum.toDouble
-
-    case EdgeRemovalSummarizerView(etype) =>
-      (stats.edgeCount - stats.edgeTypeCounts.getOrElse(etype, 0L)).toDouble
-  }
-
   /** Creation cost: I/O-dominated, proportional to the view's size (§ V-A). */
   def creationCost(view: CandidateView, stats: GraphStats, schema: GraphSchema): Double =
-    math.max(1.0, viewSize(view, stats, schema))
+    math.max(1.0, view.estimatedSize(stats, schema))
 
   /** Frontier-work proxy for an anchored traversal: `Σ_{i=1..hops} n·deg^i`.
     * Monotone in both branching factor and hop budget, which is all the
@@ -96,7 +59,7 @@ object CostModel {
     val n = math.max(1.0, stats.typeStats(view.srcType).n.toDouble)
     val viewEdges = materializedViewEdges
       .map(_.toDouble)
-      .getOrElse(viewSize(view, stats, schema))
+      .getOrElse(view.estimatedSize(stats, schema))
     val degView = viewEdges / n
     val hops = math.max(1, hopBudget(q) / view.k)
     traversalCost(anchorCount(q, stats), degView, hops)

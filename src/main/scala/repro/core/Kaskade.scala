@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.cypher.{CypherParser, QueryGraph}
-import repro.engine.GraphOps
 import repro.graph.{GraphSchema, GraphStats, PropertyGraph}
 
 /** Facade wiring Kaskade's components together (paper Fig. 2): constraint
@@ -25,24 +23,8 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
     ViewSelector.select(workload, schema, stats, budgetEdges)
 
   /** Materialize a selected view over `g` on the execution engine. */
-  def materialize(view: CandidateView, g: PropertyGraph)(implicit spark: SparkSession): PropertyGraph = {
-    val result = view match {
-      case v: KHopConnectorView =>
-        GraphOps.kHopConnector(g, v.k, v.srcType, v.dstType, v.label)
-      case VertexInclusionSummarizerView(vtypes) =>
-        GraphOps.vertexInclusionSummarizer(g, vtypes)
-      case EdgeInclusionSummarizerView(etypes) =>
-        GraphOps.edgeInclusionSummarizer(g, etypes)
-      case VertexRemovalSummarizerView(vtype) =>
-        GraphOps.vertexRemovalSummarizer(g, Seq(vtype))
-      case EdgeRemovalSummarizerView(etype) =>
-        GraphOps.edgeRemovalSummarizer(g, Seq(etype))
-      case SourceToSinkConnectorView(_, _) =>
-        GraphOps.sourceToSinkConnector(g, maxHops = 16, label = "SOURCE_TO_SINK")
-      case other =>
-        throw new UnsupportedOperationException(s"materialization of ${other.key} not supported")
-    }
-    val cached = result.cache()
+  def materialize(view: CandidateView, g: PropertyGraph): PropertyGraph = {
+    val cached = view.build(g).cache()
     materializedViews += view.key -> (view, cached)
     cached
   }

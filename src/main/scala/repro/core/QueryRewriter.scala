@@ -29,9 +29,12 @@ final case class Rewriting(
 object QueryRewriter {
 
   /** All valid rewritings of `q` over the materialized views. A k-hop
-    * connector (srcType → dstType) applies when the enumerator derives that
-    * same instantiation for `q`; the original k-hop range [kMin, kMax]
-    * contracts to [max(1, ⌈kMin/k⌉), ⌊kMax/k⌋] view hops.
+    * connector (srcType → dstType) contracts path lengths [kMin, kMax] to
+    * [kMin/k, kMax/k] view hops, and applies only if that rewriting is
+    * equivalent (Halevy, VLDB J. 2001): the lengths derived for `q` between
+    * those types are exactly {k·j : kMin/k ≤ j ≤ kMax/k}. No length past
+    * [[ViewEnumerator.MaxConnectorHops]] is derived, so a query whose hop
+    * budget passes it gets no rewriting.
     */
   def rewritings(
       q: QueryGraph,
@@ -41,24 +44,19 @@ object QueryRewriter {
       materializedSizes: Map[String, Long] = Map.empty,
   ): Seq[Rewriting] = {
     val insts = ViewEnumerator.kHopInstantiations(q, schema)
-    if (insts.isEmpty) return Nil
     val costRaw = CostModel.queryCostOnRaw(q, stats)
+    val allLengths = CostModel.hopBudget(q) <= ViewEnumerator.MaxConnectorHops
 
     materialized.collect { case v: KHopConnectorView =>
       val ks = insts.collect {
         case (_, _, st, dt, k) if st == v.srcType && dt == v.dstType => k
-      }
-      // The view applies if the query needs a path of exactly v.k hops (the
-      // base segment the connector contracts) among its derivable lengths.
-      if (ks.contains(v.k)) {
-        val kMin = ks.min
-        val kMax = ks.max
-        val hopsLo = math.max(1, math.ceil(kMin.toDouble / v.k).toInt)
-        val hopsHi = math.max(hopsLo, kMax / v.k)
+      }.toSet
+      val hops = math.max(1, ks.minOption.getOrElse(0) / v.k) to ks.maxOption.getOrElse(0) / v.k
+      Option.when(allLengths && hops.nonEmpty && hops.map(_ * v.k).toSet == ks) {
         val costView =
           CostModel.queryCostOnView(q, v, stats, schema, materializedSizes.get(v.key))
-        Some(Rewriting(v, hopsLo, hopsHi, costRaw, costView))
-      } else None
+        Rewriting(v, hops.head, hops.last, costRaw, costView)
+      }
     }.flatten
   }
 

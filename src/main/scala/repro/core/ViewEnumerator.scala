@@ -2,7 +2,7 @@ package repro.core
 
 import repro.cypher.QueryGraph
 import repro.graph.GraphSchema
-import repro.prolog.{Atom, Database, Num, Solver, Term}
+import repro.prolog.{Database, Solver, Term}
 
 /** Constraint-based, inference-based view enumeration (paper § IV, Fig. 4).
   *
@@ -31,92 +31,26 @@ object ViewEnumerator {
     db
   }
 
-  private def atomName(t: Term): String = t match {
-    case Atom(n) => n
-    case other   => other.show
-  }
-
-  private def int(t: Term): Int = t match {
-    case Num(v) => v.toInt
-    case other  => throw new IllegalStateException(s"expected integer, got ${other.show}")
-  }
+  /** Distinct solutions of one template's goal, with every variable bound. */
+  private def solve(solver: Solver, t: CandidateView.Template[CandidateView]): Seq[Map[String, Term]] =
+    solver.query(t.goal).distinct.toList
 
   /** Raw template instantiations for the k-hop connector template, as
     * (X, Y, XTYPE, YTYPE, K) tuples — the § IV-B output.
     */
-  def kHopInstantiations(q: QueryGraph, schema: GraphSchema): Seq[(String, String, String, String, Int)] = {
-    val solver = new Solver(buildDatabase(q, schema))
-    solver
-      .query("kHopConnector(X, Y, XT, YT, K)", "X", "Y", "XT", "YT", "K")
-      .map(m => (atomName(m("X")), atomName(m("Y")), atomName(m("XT")), atomName(m("YT")), int(m("K"))))
+  def kHopInstantiations(q: QueryGraph, schema: GraphSchema): Seq[(String, String, String, String, Int)] =
+    solve(new Solver(buildDatabase(q, schema)), KHopConnectorView.template)
+      .flatMap(m => KHopConnectorView.template.instantiate(m, q).map(v =>
+        (CandidateView.atomName(m("X")), CandidateView.atomName(m("Y")), v.srcType, v.dstType, v.k)))
       .distinct
-      .filter(_._5 <= MaxConnectorHops)
       .sortBy(t => (t._1, t._2, t._5))
-      .toList
-  }
 
-  /** Enumerate all candidate views for a query against a schema. */
+  /** Enumerate all candidate views for a query against a schema: every
+    * template of the view library, through one solver.
+    */
   def enumerate(q: QueryGraph, schema: GraphSchema): Seq[CandidateView] = {
     val solver = new Solver(buildDatabase(q, schema))
-
-    def distinctQuery(goal: String, vars: String*): Seq[Map[String, Term]] =
-      solver.query(goal, vars: _*).distinct.toList
-
-    val kHop: Seq[CandidateView] =
-      distinctQuery("kHopConnector(X, Y, XT, YT, K)", "XT", "YT", "K")
-        .map(m => KHopConnectorView(atomName(m("XT")), atomName(m("YT")), int(m("K"))))
-        .filter(_.k <= MaxConnectorHops)
-        .distinct
-
-    val sameVType: Seq[CandidateView] =
-      distinctQuery("connectorSameVertexType(X, Y, T)", "T")
-        .map(m => SameVertexTypeConnectorView(atomName(m("T"))))
-        .distinct
-
-    val srcSink: Seq[CandidateView] =
-      distinctQuery("sourceToSinkConnector(X, Y)", "X", "Y")
-        .flatMap { m =>
-          for {
-            st <- q.vertexLabels.get(atomName(m("X"))).flatten
-            dt <- q.vertexLabels.get(atomName(m("Y"))).flatten
-          } yield SourceToSinkConnectorView(st, dt)
-        }
-        .distinct
-
-    val sameEtype: Seq[CandidateView] =
-      distinctQuery("sameEdgeTypeConnector(X, Y, E)", "X", "Y", "E")
-        .flatMap { m =>
-          for {
-            st <- q.vertexLabels.get(atomName(m("X"))).flatten
-            dt <- q.vertexLabels.get(atomName(m("Y"))).flatten
-          } yield SameEdgeTypeConnectorView(st, dt, atomName(m("E")))
-        }
-        .distinct
-
-    val vInclusion: Seq[CandidateView] =
-      distinctQuery("summarizerVertexInclusion(TS)", "TS")
-        .flatMap(m => Term.asListOption(m("TS")))
-        .map(ts => VertexInclusionSummarizerView(ts.map(atomName)))
-        .distinct
-
-    val eInclusion: Seq[CandidateView] =
-      distinctQuery("summarizerEdgeInclusion(ES)", "ES")
-        .flatMap(m => Term.asListOption(m("ES")))
-        .map(es => EdgeInclusionSummarizerView(es.map(atomName)))
-        .distinct
-
-    val vRemoval: Seq[CandidateView] =
-      distinctQuery("summarizerRemoveVertices(T)", "T")
-        .map(m => VertexRemovalSummarizerView(atomName(m("T"))))
-        .distinct
-
-    val eRemoval: Seq[CandidateView] =
-      distinctQuery("summarizerRemoveEdges(E)", "E")
-        .map(m => EdgeRemovalSummarizerView(atomName(m("E"))))
-        .distinct
-
-    (kHop ++ sameVType ++ srcSink ++ sameEtype ++
-      vInclusion ++ eInclusion ++ vRemoval ++ eRemoval)
+    CandidateView.templates.flatMap(t => solve(solver, t).flatMap(t.instantiate(_, q)))
       .groupBy(_.key).map(_._2.head).toSeq
       .sortBy(_.key)
   }

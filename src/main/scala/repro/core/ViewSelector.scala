@@ -21,28 +21,6 @@ object ViewSelector {
     def value: Double = improvement / math.max(creationCost, 1.0)
   }
 
-  /** Performance improvement of `view` for query `q`: cost(q) / cost(q over
-    * view), or 0 when the view does not apply (§ V-B).
-    */
-  def improvementFor(
-      q: QueryGraph,
-      view: CandidateView,
-      schema: GraphSchema,
-      stats: GraphStats,
-  ): Double = view match {
-    case v: KHopConnectorView =>
-      QueryRewriter.rewritings(q, schema, stats, Seq(v))
-        .headOption
-        .map(r => r.costOriginal / math.max(r.costRewritten, 1e-9))
-        .getOrElse(0.0)
-    case _ =>
-      // Summarizer/other views: improvement modeled as the size reduction
-      // factor they give this query's traversal (raw edges / view edges).
-      val vs = CostModel.viewSize(view, stats, schema)
-      val applies = ViewEnumerator.enumerate(q, schema).exists(_.key == view.key)
-      if (!applies || vs <= 0) 0.0 else stats.edgeCount.toDouble / math.max(vs, 1.0)
-  }
-
   /** Enumerate, score, and select views for a workload within the budget
     * (budget in estimated edges — the paper's budget is a share of memory,
     * which is proportional).
@@ -60,17 +38,21 @@ object ViewSelector {
     val weights = queryWeights.getOrElse(Seq.fill(workload.size)(1.0))
     require(weights.size == workload.size, "one weight per query required")
 
+    // Each query is enumerated and rewritten once; a view applies to a query
+    // it was derived for, and a k-hop connector through its rewriting.
+    val derived = workload.map(q => ViewEnumerator.enumerate(q, schema))
     val candidates: Seq[CandidateView] =
-      workload.flatMap(q => ViewEnumerator.enumerate(q, schema))
-        .groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
+      derived.flatten.groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
+    val perQuery = workload.zip(derived).zip(weights).map { case ((q, views), w) =>
+      val rewritings = QueryRewriter.rewritings(q, schema, stats, candidates).map(r => r.view.key -> r).toMap
+      (views.map(_.key).toSet, rewritings, w)
+    }
 
     val scored = candidates.map { v =>
-      val size = CostModel.viewSize(v, stats, schema)
-      val creation = CostModel.creationCost(v, stats, schema)
-      val improvement = workload.zip(weights)
-        .map { case (q, w) => w * improvementFor(q, v, schema, stats) }
+      val improvement = perQuery
+        .map { case (keys, rewritings, w) => w * v.improvement(keys(v.key), rewritings.get(v.key), stats, schema) }
         .sum
-      ScoredView(v, size, creation, improvement)
+      ScoredView(v, v.estimatedSize(stats, schema), CostModel.creationCost(v, stats, schema), improvement)
     }.filter(_.improvement > 0)
 
     val items = scored.map(s => Knapsack.Item(math.max(0L, math.round(s.size)), s.value)).toIndexedSeq

@@ -127,12 +127,22 @@ object GraphOps {
     val sinks = g.vertices
       .join(g.edges.select(col("src").as("id")).distinct(), Seq("id"), "left_anti")
       .select(col("id"))
+    pathContraction(g, sources, sinks, g.edges, maxHops, label)
+  }
 
+  /** Bounded path contraction, the connector of Table I rows 1, 3 and 4: one
+    * `label` edge per (source, sink) pair of distinct vertices joined by a
+    * walk of 1..`maxHops` `edges`, with `ts` = max timestamp over the walks
+    * and `paths` = their number. `sources` and `sinks` are `id` columns; the
+    * view's vertices are theirs. `maxHops` ends the walk on cyclic inputs.
+    */
+  def pathContraction(g: PropertyGraph, sources: DataFrame, sinks: DataFrame, edges: DataFrame,
+      maxHops: Int, label: String): PropertyGraph = {
+    val e = edges.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
     var frontier = sources.select(
       col("id").as("src"), col("id").as("cur"), lit(0L).as("ts"), lit(1L).as("paths"))
     var acc = frontier
     for (_ <- 1 to maxHops) {
-      val e = g.edges.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
       frontier = frontier
         .join(e, col("cur") === col("_s"))
         .select(col("src"), col("_d").as("cur"),

@@ -27,24 +27,9 @@ object ViewCatalog {
       ViewEnumerator.enumerate(q, GraphSchema.provSummarized) ++
         ViewEnumerator.enumerate(q, GraphSchema.provRaw)
 
-    views.distinct.map {
-      case v: KHopConnectorView =>
-        val name = if (v.sameVertexType) "k-hop same-vertex-type connector" else "k-hop connector"
-        CatalogRow("Table I", name, v.key, v.toCypher)
-      case v: SameVertexTypeConnectorView =>
-        CatalogRow("Table I", "Same-vertex-type connector", v.key, v.toCypher)
-      case v: SameEdgeTypeConnectorView =>
-        CatalogRow("Table I", "Same-edge-type connector", v.key, v.toCypher)
-      case v: SourceToSinkConnectorView =>
-        CatalogRow("Table I", "Source-to-sink connector", v.key, v.toCypher)
-      case v: VertexRemovalSummarizerView =>
-        CatalogRow("Table II", "Vertex-removal summarizer", v.key, v.toCypher)
-      case v: EdgeRemovalSummarizerView =>
-        CatalogRow("Table II", "Edge-removal summarizer", v.key, v.toCypher)
-      case v: VertexInclusionSummarizerView =>
-        CatalogRow("Table II", "Vertex-inclusion summarizer", v.key, v.toCypher)
-      case v: EdgeInclusionSummarizerView =>
-        CatalogRow("Table II", "Edge-inclusion summarizer", v.key, v.toCypher)
+    views.distinct.map { v =>
+      val (table, viewType) = v.tableRow
+      CatalogRow(table, viewType, v.key, v.toCypher)
     }.sortBy(r => (r.table, r.viewType, r.instance))
   }
 

@@ -42,21 +42,21 @@ class CostModelSpec extends AnyFunSuite {
   test("k-hop connector view size uses the α=95 heterogeneous estimator") {
     val v = KHopConnectorView("Job", "Job", 2)
     val expected = SizeEstimator.heterogeneous(provStats, GraphSchema.provSummarized, 2, 95)
-    assert(CostModel.viewSize(v, provStats, GraphSchema.provSummarized) == expected)
+    assert(v.estimatedSize(provStats, GraphSchema.provSummarized) == expected)
   }
 
   test("vertex-inclusion summarizer size sums kept edge types") {
     val v = VertexInclusionSummarizerView(Seq("Job", "File"))
-    assert(CostModel.viewSize(v, provStats, GraphSchema.provSummarized) == 3000.0)
+    assert(v.estimatedSize(provStats, GraphSchema.provSummarized) == 3000.0)
     val jobOnly = VertexInclusionSummarizerView(Seq("Job"))
-    assert(CostModel.viewSize(jobOnly, provStats, GraphSchema.provSummarized) == 0.0)
+    assert(jobOnly.estimatedSize(provStats, GraphSchema.provSummarized) == 0.0)
   }
 
   test("edge-inclusion and removal summarizer sizes") {
-    assert(CostModel.viewSize(EdgeInclusionSummarizerView(Seq("WRITES_TO")),
-      provStats, GraphSchema.provSummarized) == 800.0)
-    assert(CostModel.viewSize(EdgeRemovalSummarizerView("WRITES_TO"),
-      provStats, GraphSchema.provSummarized) == 2200.0)
+    assert(EdgeInclusionSummarizerView(Seq("WRITES_TO"))
+      .estimatedSize(provStats, GraphSchema.provSummarized) == 800.0)
+    assert(EdgeRemovalSummarizerView("WRITES_TO")
+      .estimatedSize(provStats, GraphSchema.provSummarized) == 2200.0)
   }
 
   test("vertex-removal summarizer drops incident edge types") {
@@ -64,7 +64,7 @@ class CostModelSpec extends AnyFunSuite {
       provStats.edgeTypeCounts ++ Map("SPAWNS" -> 5000L, "TRANSFERS_TO" -> 4000L, "RUNS_ON" -> 5000L))
     val v = VertexRemovalSummarizerView("Task")
     // Dropping tasks removes SPAWNS, TRANSFERS_TO and RUNS_ON edges.
-    assert(CostModel.viewSize(v, rawStats, GraphSchema.provRaw) == 3000.0)
+    assert(v.estimatedSize(rawStats, GraphSchema.provRaw) == 3000.0)
   }
 
   test("query cost on a 2-hop connector view is below the raw cost") {
@@ -78,7 +78,7 @@ class CostModelSpec extends AnyFunSuite {
   test("creation cost is proportional to estimated size, floored at 1") {
     val v = KHopConnectorView("Job", "Job", 2)
     assert(CostModel.creationCost(v, provStats, GraphSchema.provSummarized) ==
-      CostModel.viewSize(v, provStats, GraphSchema.provSummarized))
+      v.estimatedSize(provStats, GraphSchema.provSummarized))
     val empty = VertexInclusionSummarizerView(Seq("Job"))
     assert(CostModel.creationCost(empty, provStats, GraphSchema.provSummarized) == 1.0)
   }

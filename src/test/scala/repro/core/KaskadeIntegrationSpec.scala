@@ -1,16 +1,15 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.engine.Queries
-import repro.graph.{GraphGen, GraphSchema, GraphStats}
+import repro.graph.{GraphGen, GraphSchema, GraphStats, PropertyGraph}
 
 /** End-to-end pipeline over the provenance graph, mirroring Fig. 2:
   * profile → enumerate → select → materialize → rewrite → execute,
   * with result equivalence between the raw and rewritten plans.
   */
 class KaskadeIntegrationSpec extends SparkSpec {
-
-  private implicit lazy val s: org.apache.spark.sql.SparkSession = spark
 
   private lazy val raw = GraphGen.provRaw(spark, nJobs = 32, tasksPerJob = 8, nMachines = 4).cache()
   private lazy val summarized = GraphGen.provSummarized(spark, nJobs = 32).cache()
@@ -123,4 +122,88 @@ class KaskadeIntegrationSpec extends SparkSpec {
     assert(direct.exceptAll(overView).count() == 0)
     assert(overView.exceptAll(direct).count() == 0)
   }
+
+  // ---- every view type builds ----------------------------------------------
+
+  // k-hop connectors join walk by walk, so the k ≤ 10 candidates of the blast
+  // radius are built on a small pipeline.
+  private lazy val smallRaw =
+    GraphGen.provRaw(spark, nJobs = 8, tasksPerJob = 3, nMachines = 2, fanOut = 2, readers = 2).cache()
+  private lazy val smallSummarized = GraphGen.provSummarized(spark, nJobs = 8, fanOut = 2, readers = 2).cache()
+
+  /** A 12-cycle with three chords: cyclic, so the unbounded connectors stop
+    * at their hop bound.
+    */
+  private lazy val ring = PropertyGraph.of(spark,
+    vertices = (0L until 12L).map(i => (i, "Node", 1.0, "g")),
+    edges = ((0L until 12L).map(i => (i, (i + 1) % 12)) ++ Seq((2L, 7L), (5L, 1L), (9L, 4L)))
+      .map { case (s, d) => (s, d, "LINK", (s * 37 + d * 11) % 50) }).cache()
+
+  /** The DuckDB reference for a bounded path contraction: per pair of
+    * distinct `srcType` and `dstType` vertices, the number of walks of
+    * 1..`maxHops` `edges` between them and the max edge ts along those walks.
+    */
+  private def assertContraction(
+      view: PropertyGraph, g: PropertyGraph, edges: DataFrame, srcType: String, dstType: String, maxHops: Int,
+  ): Unit =
+    Oracle.assertEquivalent(
+      view.edges.select("src", "dst", "ts", "paths"),
+      s"""WITH RECURSIVE w(src, cur, ts, d) AS (
+         |  SELECT id, id, CAST(0 AS BIGINT), 0 FROM srcs
+         |  UNION ALL
+         |  SELECT w.src, e.dst, greatest(w.ts, CAST(e.ts AS BIGINT)), w.d + 1
+         |  FROM w JOIN e ON w.cur = e.src WHERE w.d < $maxHops
+         |)
+         |SELECT w.src AS src, w.cur AS dst, max(w.ts) AS ts, count(*) AS paths
+         |FROM w JOIN dsts ON w.cur = dsts.id WHERE w.src <> w.cur
+         |GROUP BY w.src, w.cur""".stripMargin,
+      "e" -> edges.select("src", "dst", "ts"),
+      "srcs" -> g.verticesOfType(srcType).select("id"),
+      "dsts" -> g.verticesOfType(dstType).select("id"))
+
+  /** Runs `body` with few shuffle partitions, enough for graphs of a few
+    * hundred edges.
+    */
+  private def fewPartitions[A](body: => A): A = {
+    val old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
+    try body finally spark.conf.set("spark.sql.shuffle.partitions", old)
+  }
+
+  test("every candidate the enumerator emits materializes") { fewPartitions {
+    val built = Seq(
+      (smallRaw, GraphSchema.provRaw, blastRadiusCypher),
+      (smallSummarized, GraphSchema.provSummarized, blastRadiusCypher),
+      (ring, GraphSchema.homogeneous(), "MATCH (a:Node)-[r*1..4]->(b:Node) RETURN a, b"),
+    ).flatMap { case (g, schema, cypher) =>
+      val kas = new Kaskade(schema, GraphStats.compute(g))
+      kas.enumerate(kas.parse(cypher)).map { view =>
+        val v = kas.materialize(view, g)
+        assert(v.edges.columns.take(4).toSeq == PropertyGraph.edgeCols && v.edgeCount >= 0, view.key)
+        v.unpersist()
+        view
+      }
+    }
+    assert(built.map(_.getClass).distinct.size == CandidateView.templates.size)
+    assert(built.contains(SameVertexTypeConnectorView("Job")))
+    assert(built.contains(SameEdgeTypeConnectorView("Node", "Node", "LINK")))
+  }}
+
+  test("same-vertex-type connector edges match the DuckDB oracle") { fewPartitions {
+    val jobs = SameVertexTypeConnectorView("Job")
+    assertContraction(jobs.build(smallSummarized), smallSummarized, smallSummarized.edges, "Job", "Job", 8)
+    val nodes = SameVertexTypeConnectorView("Node", maxHops = 5)
+    val view = nodes.build(ring)
+    assert(view.edgeCount > 0)
+    assertContraction(view, ring, ring.edges, "Node", "Node", 5)
+  }}
+
+  test("same-edge-type connector edges match the DuckDB oracle") { fewPartitions {
+    val links = SameEdgeTypeConnectorView("Node", "Node", "LINK").build(ring)
+    assertContraction(links, ring, ring.edges, "Node", "Node", CandidateView.UnboundedPathHops)
+    val transfers = SameEdgeTypeConnectorView("Task", "Task", "TRANSFERS_TO").build(smallRaw)
+    assert(transfers.edgeCount > 0)
+    assertContraction(transfers, smallRaw, smallRaw.edgesOfType("TRANSFERS_TO"), "Task", "Task",
+      CandidateView.UnboundedPathHops)
+  }}
 }

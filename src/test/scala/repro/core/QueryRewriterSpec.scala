@@ -81,4 +81,31 @@ class QueryRewriterSpec extends AnyFunSuite {
     assert(rw.isDefined)
     assert(rw.get.hopsLo == 1 && rw.get.hopsHi == 1)
   }
+
+  // An equivalent rewriting derives exactly the query's path lengths: the
+  // blast radius has Job→Job lengths {2, 4, 6, 8, 10}, and [*1..8] on the
+  // homogeneous schema has {1, ..., 8}.
+  private val homogeneous = GraphSchema.homogeneous()
+  private val homStats = GraphStats(1000L, 15136L,
+    Seq(TypeStats("Node", 1000L, 10.0, 25.1, 37.05, 549.0)), Map("LINK" -> 15136L))
+  private val upTo8 = CypherParser.parse("MATCH (a:Node)-[r*1..8]->(b:Node) RETURN a, b")
+
+  for ((name, q, sch, st, view, hops) <- Seq(
+      ("blast radius over a 4-hop view is declined", blastRadius, schema, stats,
+        KHopConnectorView("Job", "Job", 4), None),
+      ("blast radius over a 6-hop view is declined", blastRadius, schema, stats,
+        KHopConnectorView("Job", "Job", 6), None),
+      ("blast radius over the 2-hop view gives *1..5", blastRadius, schema, stats, v2, Some((1, 5))),
+      ("[*1..8] over a 2-hop view is declined", upTo8, homogeneous, homStats,
+        KHopConnectorView("Node", "Node", 2), None),
+      ("[*1..8] over a 1-hop view gives *1..8", upTo8, homogeneous, homStats,
+        KHopConnectorView("Node", "Node", 1), Some((1, 8))),
+      ("[*1..12] is declined: lengths past the enumerator's cap are not derived",
+        CypherParser.parse("MATCH (a:Node)-[r*1..12]->(b:Node) RETURN a, b"), homogeneous, homStats,
+        KHopConnectorView("Node", "Node", 1), None),
+    ))
+    test(s"equivalent rewritings only: $name") {
+      val rw = QueryRewriter.rewritings(q, sch, st, Seq(view))
+      assert(rw.map(r => (r.hopsLo, r.hopsHi)) == hops.toSeq)
+    }
 }

@@ -78,4 +78,44 @@ class ViewSelectorSpec extends AnyFunSuite {
     val values = selected.map(_.value)
     assert(values == values.sortBy(-_))
   }
+
+  // Selection output, pinned to what selection gave when it re-ran the solver
+  // for every (query, candidate) pair; it now enumerates and rewrites each
+  // query once.
+  private def picked(sel: Seq[ViewSelector.ScoredView]): Seq[(String, Double, Double)] =
+    sel.map(s => (s.view.key, s.size, s.improvement))
+
+  test("pinned selection: blast radius + two-hop, 7 view edges per base edge") {
+    assert(picked(ViewSelector.select(Seq(blastRadius, twoHop), schema, stats, 7L * stats.edgeCount)) == Seq(
+      ("summarizerEdgeInclusion(IS_READ_BY,WRITES_TO)", 3000.0, 2.0),
+      ("summarizerVertexInclusion(File,Job)", 3000.0, 2.0),
+      ("kHopConnector(Job,Job,2)", 4100.0, 0.3543407701108907),
+      ("sourceToSinkConnector(Job,Job)", 10000.0, 0.6)))
+  }
+
+  test("pinned selection: blast radius + two-hop, generous budget") {
+    // The 4-, 6-, 8- and 10-hop connectors were picked here too while the
+    // rewriter accepted rewritings of the blast radius that drop path lengths.
+    assert(picked(ViewSelector.select(Seq(blastRadius, twoHop), schema, stats, 10_000_000L)) == Seq(
+      ("summarizerEdgeInclusion(IS_READ_BY,WRITES_TO)", 3000.0, 2.0),
+      ("summarizerVertexInclusion(File,Job)", 3000.0, 2.0),
+      ("kHopConnector(Job,Job,2)", 4100.0, 0.3543407701108907),
+      ("sourceToSinkConnector(Job,Job)", 10000.0, 0.6),
+      ("connectorSameVertexType(Job)", 20900.0, 0.28708133971291866)))
+  }
+
+  test("pinned selection: homogeneous workload") {
+    val homStats = GraphStats(1000L, 15136L,
+      Seq(TypeStats("Node", 1000L, 10.0, 25.1, 37.05, 549.0)), Map("LINK" -> 15136L))
+    val workload = Seq(
+      "MATCH (a:Node)-[r*1..4]->(b:Node) RETURN a, b",
+      "MATCH (a:Node)-[r*1..8]->(b:Node) RETURN a, b",
+      "MATCH (a:Node)-[:LINK]->(b:Node), (b:Node)-[r*0..3]->(c:Node) RETURN a, c").map(CypherParser.parse)
+    val selected = ViewSelector.select(workload, GraphSchema.homogeneous(), homStats, 7L * homStats.edgeCount)
+    assert(picked(selected) == Seq(
+      ("sameEdgeTypeConnector(Node,Node,LINK)", 15136.0, 3.0),
+      ("summarizerVertexInclusion(Node)", 15136.0, 3.0),
+      ("summarizerEdgeInclusion(LINK)", 15136.0, 1.0),
+      ("kHopConnector(Node,Node,1)", 37050.0, 0.05884669439425538)))
+  }
 }
