@@ -10,7 +10,8 @@ import repro.graph.{GraphSchema, GraphStats, PropertyGraph}
   */
 final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
 
-  private var materializedViews: Map[String, (CandidateView, PropertyGraph)] = Map.empty
+  /** Per view key: the view, its cached graph and its edge count. */
+  private var materializedViews: Map[String, (CandidateView, PropertyGraph, Long)] = Map.empty
 
   /** Parse a Cypher MATCH/RETURN query into its graph pattern. */
   def parse(cypher: String): QueryGraph = CypherParser.parse(cypher)
@@ -22,10 +23,20 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
   def selectViews(workload: Seq[QueryGraph], budgetEdges: Long): Seq[ViewSelector.ScoredView] =
     ViewSelector.select(workload, schema, stats, budgetEdges)
 
-  /** Materialize a selected view over `g` on the execution engine. */
+  /** Materialize a selected view over `g` on the execution engine, counting
+    * its edges once (a key materialized again gets its new size). The edges
+    * are cached in one partition per core, not one per shuffle partition, so
+    * that this count and every later scan of the view run that many tasks.
+    * The RDD count fills the edge cache in one job, with no aggregate
+    * exchange, and runs before the vertices are cached, so that it does not
+    * build their cache inside its job.
+    */
   def materialize(view: CandidateView, g: PropertyGraph): PropertyGraph = {
-    val cached = view.build(g).cache()
-    materializedViews += view.key -> (view, cached)
+    val built = view.build(g)
+    val edges = built.edges.coalesce(built.edges.sparkSession.sparkContext.defaultParallelism).cache()
+    val size = edges.rdd.count()
+    val cached = PropertyGraph(built.vertices.cache(), edges)
+    materializedViews += view.key -> (view, cached, size)
     cached
   }
 
@@ -36,13 +47,14 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
   def viewGraph(view: CandidateView): Option[PropertyGraph] =
     materializedViews.get(view.key).map(_._2)
 
+  /** Edge count of each materialized view, by key, recorded when it was built. */
+  def viewSizes: Map[String, Long] = materializedViews.map { case (k, (_, _, n)) => k -> n }
+
   /** Best view-based rewriting of `q` given the materialized views (§ V-C),
-    * using actual materialized sizes when available.
+    * costed on their recorded sizes; it runs no Spark job.
     */
-  def rewrite(q: QueryGraph): Option[Rewriting] = {
-    val sizes = materializedViews.map { case (k, (_, g)) => k -> g.edgeCount }
-    QueryRewriter.rewrite(q, schema, stats, materialized, sizes)
-  }
+  def rewrite(q: QueryGraph): Option[Rewriting] =
+    QueryRewriter.rewrite(q, schema, stats, materialized, viewSizes)
 }
 
 object Kaskade {

@@ -1,7 +1,8 @@
 package repro.engine
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame, Observation}
 import org.apache.spark.sql.functions._
+import scala.annotation.tailrec
 import repro.graph.PropertyGraph
 
 /** Graph-view primitives on DataFrames: summarizers (filters) and connectors
@@ -17,21 +18,18 @@ object GraphOps {
   /** Vertex-inclusion summarizer: keep vertices of `keepTypes` and edges with
     * both endpoints kept (Table II, row 3).
     */
-  def vertexInclusionSummarizer(g: PropertyGraph, keepTypes: Seq[String]): PropertyGraph = {
-    val v = g.vertices.filter(col("vtype").isin(keepTypes: _*))
-    val ids = v.select(col("id"))
-    val e = g.edges
-      .join(ids.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
-      .join(ids.withColumnRenamed("id", "dst"), Seq("dst"), "left_semi")
-      .select("src", "dst", "etype", "ts")
-    PropertyGraph(v, e)
-  }
+  def vertexInclusionSummarizer(g: PropertyGraph, keepTypes: Seq[String]): PropertyGraph =
+    induced(g, col("vtype").isin(keepTypes: _*))
 
   /** Vertex-removal summarizer: drop vertices of `removeTypes` and their
     * incident edges (Table II, row 1).
     */
-  def vertexRemovalSummarizer(g: PropertyGraph, removeTypes: Seq[String]): PropertyGraph = {
-    val v = g.vertices.filter(!col("vtype").isin(removeTypes: _*))
+  def vertexRemovalSummarizer(g: PropertyGraph, removeTypes: Seq[String]): PropertyGraph =
+    induced(g, !col("vtype").isin(removeTypes: _*))
+
+  /** The vertices that pass `keep`, and the edges between them. */
+  private def induced(g: PropertyGraph, keep: Column): PropertyGraph = {
+    val v = g.vertices.filter(keep)
     val ids = v.select(col("id"))
     val e = g.edges
       .join(ids.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
@@ -50,22 +48,18 @@ object GraphOps {
   def edgeRemovalSummarizer(g: PropertyGraph, removeEtypes: Seq[String]): PropertyGraph =
     PropertyGraph(g.vertices, g.edges.filter(!col("etype").isin(removeEtypes: _*)))
 
-  /** All k-hop path endpoints with aggregated properties: rows
-    * `(src, cur, ts)` for every k-length walk with distinct consecutive
-    * vertices and distinct endpoints.
+  /** The endpoints of the walks of k edges, self-loops excluded: rows
+    * `(src, cur, ts, paths)`, where `paths` counts the walks a row stands
+    * for and `ts` is the max timestamp along them. Rows are summed per
+    * (src, cur) before every join after the first, so the work grows with
+    * vertex pairs, not with walks; the caller sums the last join's rows.
     */
   private def kHopPaths(edges: DataFrame, k: Int): DataFrame = {
     require(k >= 1, "k must be positive")
-    val noLoops = edges.filter(col("src") =!= col("dst"))
-    var paths = noLoops.select(col("src"), col("dst").as("cur"), col("ts"))
-    for (_ <- 2 to k) {
-      val e = noLoops.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
-      paths = paths
-        .join(e, col("cur") === col("_s"))
-        .filter(col("_d") =!= col("cur")) // no immediate backtrack to same id
-        .select(col("src"), col("_d").as("cur"), greatest(col("ts"), col("_t")).as("ts"))
-    }
-    paths.filter(col("src") =!= col("cur"))
+    val e = edges.filter(col("src") =!= col("dst"))
+    val walks = e.select(col("src"), col("dst").as("cur"), col("ts"), lit(1L).as("paths"))
+    if (k == 1) walks
+    else advance(frontiers(walks, e, k - 2)((moved, _) => perPair(moved)).last, e)
   }
 
   /** Exact number of k-length simple-endpoint paths (self-loops excluded,
@@ -88,7 +82,8 @@ object GraphOps {
         .join(e.select(col("dst").as("src"), col("src").as("dst")), Seq("src", "dst"), "left_semi")
         .count()
       through - mutual
-    } else kHopPaths(g.edges, k).count()
+    } else kHopPaths(g.edges, k).filter(col("src") =!= col("cur"))
+      .agg(coalesce(sum(col("paths")), lit(0L))).collect()(0).getLong(0)
 
   /** Materialize a k-hop connector view between `srcType` and `dstType`
     * vertices (Table I). Edges are deduplicated per (src, dst) pair with
@@ -104,16 +99,10 @@ object GraphOps {
       dstType: String,
       label: String,
   ): PropertyGraph = {
-    val srcIds = g.verticesOfType(srcType).select(col("id").as("_src_id"))
-    val dstIds = g.verticesOfType(dstType).select(col("id").as("_dst_id"))
-    val contracted = kHopPaths(g.edges, k)
-      .join(srcIds, col("src") === col("_src_id"), "left_semi")
-      .join(dstIds, col("cur") === col("_dst_id"), "left_semi")
-      .groupBy(col("src"), col("cur").as("dst"))
-      .agg(max(col("ts")).as("ts"), count(lit(1)).as("paths"))
-      .select(col("src"), col("dst"), lit(label).as("etype"), col("ts"), col("paths"))
+    val walks = kHopPaths(g.edges, k)
+      .join(g.verticesOfType(srcType).select(col("id").as("src")), Seq("src"), "left_semi")
     val viewVertices = g.vertices.filter(col("vtype").isin(Seq(srcType, dstType).distinct: _*))
-    PropertyGraph(viewVertices, contracted)
+    PropertyGraph(viewVertices, contract(walks, g.verticesOfType(dstType).select(col("id")), label))
   }
 
   /** Source-to-sink connector (Table I, row 4): contracts full paths between
@@ -121,13 +110,9 @@ object GraphOps {
     * bounded at `maxHops` (termination bound for cyclic inputs).
     */
   def sourceToSinkConnector(g: PropertyGraph, maxHops: Int, label: String): PropertyGraph = {
-    val sources = g.vertices
-      .join(g.edges.select(col("dst").as("id")).distinct(), Seq("id"), "left_anti")
-      .select(col("id"))
-    val sinks = g.vertices
-      .join(g.edges.select(col("src").as("id")).distinct(), Seq("id"), "left_anti")
-      .select(col("id"))
-    pathContraction(g, sources, sinks, g.edges, maxHops, label)
+    def without(end: String) =
+      g.vertices.join(g.edges.select(col(end).as("id")).distinct(), Seq("id"), "left_anti").select(col("id"))
+    pathContraction(g, sources = without("dst"), sinks = without("src"), g.edges, maxHops, label)
   }
 
   /** Bounded path contraction, the connector of Table I rows 1, 3 and 4: one
@@ -138,32 +123,27 @@ object GraphOps {
     */
   def pathContraction(g: PropertyGraph, sources: DataFrame, sinks: DataFrame, edges: DataFrame,
       maxHops: Int, label: String): PropertyGraph = {
-    val e = edges.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
-    var frontier = sources.select(
+    val seed = sources.select(
       col("id").as("src"), col("id").as("cur"), lit(0L).as("ts"), lit(1L).as("paths"))
-    var acc = frontier
-    for (_ <- 1 to maxHops) {
-      frontier = frontier
-        .join(e, col("cur") === col("_s"))
-        .select(col("src"), col("_d").as("cur"),
-          greatest(col("ts"), col("_t")).as("ts"), col("paths"))
-        .groupBy("src", "cur").agg(max("ts").as("ts"), sum("paths").as("paths"))
-        .localCheckpoint()
-      acc = acc.union(frontier)
-    }
-    val contracted = acc
+    val walks = frontiers(seed, edges, maxHops)((moved, _) => perPair(moved)).reduce(_ union _)
+    val endpointIds = sources.union(sinks).distinct()
+    PropertyGraph(g.vertices.join(endpointIds, Seq("id"), "left_semi"), contract(walks, sinks, label))
+  }
+
+  /** One `label` edge per pair of distinct vertices that `walks` rows join,
+    * ending at a `sinks` id: max `ts`, summed `paths`.
+    */
+  private def contract(walks: DataFrame, sinks: DataFrame, label: String): DataFrame =
+    walks
       .join(sinks.withColumnRenamed("id", "cur"), Seq("cur"), "left_semi")
       .filter(col("src") =!= col("cur"))
       .groupBy(col("src"), col("cur").as("dst"))
       .agg(max("ts").as("ts"), sum("paths").as("paths"))
       .select(col("src"), col("dst"), lit(label).as("etype"), col("ts"), col("paths"))
 
-    val endpointIds = sources.union(sinks).distinct()
-    PropertyGraph(g.vertices.join(endpointIds, Seq("id"), "left_semi"), contracted)
-  }
-
   /** Multi-source bounded reachability: all distinct `(root, v)` pairs with a
-    * directed path of 1..maxHops edges from root to v. Backbone of Q1–Q3.
+    * directed path of 1..maxHops `edges` (`src`, `dst`, `ts`) from root to v.
+    * Backbone of Q1–Q3.
     *
     * @param reversed follow edges backwards (ancestors, Q2).
     */
@@ -173,26 +153,52 @@ object GraphOps {
       maxHops: Int,
       reversed: Boolean = false,
   ): DataFrame = {
-    val e0 =
-      if (reversed) edges.select(col("dst").as("_s"), col("src").as("_d"))
-      else edges.select(col("src").as("_s"), col("dst").as("_d"))
-    val e = e0.localCheckpoint()
+    val e = if (reversed) edges.select(col("dst").as("src"), col("src").as("dst"), col("ts")) else edges
+    val seed = roots.select(col("id").as("root"), col("id").as("cur"))
+    frontiers(seed, e, maxHops)((moved, visited) =>
+      moved.distinct().join(visited, Seq("root", "cur"), "left_anti"))
+      .reduce(_ union _)
+      .filter(col("root") =!= col("cur"))
+      .select(col("root"), col("cur").as("v"))
+  }
 
-    var frontier = roots.select(col("id").as("root"), col("id").as("v")).localCheckpoint()
-    var visited = frontier
-    var hop = 0
-    var frontierNonEmpty = true
-    while (hop < maxHops && frontierNonEmpty) {
-      frontier = frontier
-        .join(e, col("v") === col("_s"))
-        .select(col("root"), col("_d").as("v"))
-        .distinct()
-        .join(visited, Seq("root", "v"), "left_anti")
-        .localCheckpoint()
-      frontierNonEmpty = !frontier.isEmpty
-      if (frontierNonEmpty) visited = visited.union(frontier).localCheckpoint()
-      hop += 1
-    }
-    visited.filter(col("root") =!= col("v"))
+  /** Walk rows summed per (src, cur): max `ts`, total `paths`. */
+  private def perPair(walks: DataFrame): DataFrame =
+    walks.groupBy("src", "cur").agg(max("ts").as("ts"), sum("paths").as("paths"))
+
+  /** Moves every frontier row along each `edges` edge out of its `cur`
+    * vertex. A `ts` column becomes the max edge timestamp along the walk.
+    */
+  private def advance(frontier: DataFrame, edges: DataFrame): DataFrame = {
+    val e = edges.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
+    frontier.join(e, col("cur") === col("_s")).select(frontier.columns.toSeq.map {
+      case "cur" => col("_d").as("cur")
+      case "ts"  => greatest(col("ts"), col("_t")).as("ts")
+      case c     => col(c)
+    }: _*)
+  }
+
+  /** The semi-naive frontier step of every traversal (Bancilhon &
+    * Ramakrishnan, SIGMOD 1986): each hop [[advance]]s the last frontier and
+    * `merge(moved, visited)` reduces it to the next one, `visited` being the
+    * union of the frontiers so far. A hop is materialized once, by
+    * `localCheckpoint`, whose `Observation` row count ends the traversal at
+    * an empty hop; the last hop stays lazy for the caller's job. Returns the
+    * frontiers, `seed` (which has a `cur` column) first.
+    */
+  private[engine] def frontiers(seed: DataFrame, edges: DataFrame, maxHops: Int)(
+      merge: (DataFrame, DataFrame) => DataFrame): Seq[DataFrame] = {
+    @tailrec def loop(hops: Vector[DataFrame], visited: DataFrame): Vector[DataFrame] =
+      if (hops.size > maxHops) hops
+      else {
+        val next = merge(advance(hops.last, edges), visited)
+        if (hops.size == maxHops) hops :+ next
+        else {
+          val rows = Observation()
+          val hop = next.observe(rows, count(lit(1)).as("rows")).localCheckpoint()
+          if (rows.get("rows") == 0L) hops :+ hop else loop(hops :+ hop, visited.union(hop))
+        }
+      }
+    loop(Vector(seed), seed)
   }
 }

@@ -20,36 +20,28 @@ object Queries {
     * then average per `grp` (pipelineName). Returns `(grp, avg_cpu)`.
     */
   def q1BlastRadius(g: PropertyGraph, anchorType: String, maxHops: Int): DataFrame = {
-    val anchors = g.verticesOfType(anchorType).select(col("id"))
-    val pairs = GraphOps.reachablePairs(g.edges, anchors, maxHops)
-    val targets = g.verticesOfType(anchorType).select(col("id").as("v"), col("cpu"))
-    val perRoot = pairs
-      .join(targets, Seq("v"))
-      .groupBy(col("root"))
-      .agg(sum(col("cpu")).as("t_cpu"))
-    val rootMeta = g.verticesOfType(anchorType).select(col("id").as("root"), col("grp"))
-    perRoot
-      .join(rootMeta, Seq("root"))
-      .groupBy(col("grp"))
-      .agg(avg(col("t_cpu")).as("avg_cpu"))
+    val anchors = g.verticesOfType(anchorType)
+    GraphOps.reachablePairs(g.edges, anchors.select(col("id")), maxHops)
+      .join(anchors.select(col("id").as("v"), col("cpu")), Seq("v"))
+      .groupBy(col("root")).agg(sum(col("cpu")).as("t_cpu"))
+      .join(anchors.select(col("id").as("root"), col("grp")), Seq("root"))
+      .groupBy(col("grp")).agg(avg(col("t_cpu")).as("avg_cpu"))
   }
 
   /** Q2 — Ancestors: distinct `(root, v)` with v an `anchorType` vertex
     * reachable *backwards* within `maxHops` hops from each anchor.
     */
-  def q2Ancestors(g: PropertyGraph, anchorType: String, maxHops: Int): DataFrame = {
-    val anchors = g.verticesOfType(anchorType).select(col("id"))
-    val sameType = g.verticesOfType(anchorType).select(col("id").as("v"))
-    GraphOps.reachablePairs(g.edges, anchors, maxHops, reversed = true)
-      .join(sameType, Seq("v"), "left_semi")
-  }
+  def q2Ancestors(g: PropertyGraph, anchorType: String, maxHops: Int): DataFrame =
+    sameTypeReach(g, anchorType, maxHops, reversed = true)
 
   /** Q3 — Descendants: forward counterpart of Q2. */
-  def q3Descendants(g: PropertyGraph, anchorType: String, maxHops: Int): DataFrame = {
+  def q3Descendants(g: PropertyGraph, anchorType: String, maxHops: Int): DataFrame =
+    sameTypeReach(g, anchorType, maxHops, reversed = false)
+
+  private def sameTypeReach(g: PropertyGraph, anchorType: String, maxHops: Int, reversed: Boolean): DataFrame = {
     val anchors = g.verticesOfType(anchorType).select(col("id"))
-    val sameType = g.verticesOfType(anchorType).select(col("id").as("v"))
-    GraphOps.reachablePairs(g.edges, anchors, maxHops)
-      .join(sameType, Seq("v"), "left_semi")
+    GraphOps.reachablePairs(g.edges, anchors, maxHops, reversed)
+      .join(anchors.withColumnRenamed("id", "v"), Seq("v"), "left_semi")
   }
 
   /** Q4 — Path lengths: from `sourceId`, for every vertex within `maxHops`
@@ -57,23 +49,12 @@ object Queries {
     * Returns `(v, dist)`; the source itself is excluded.
     */
   def q4PathLengths(g: PropertyGraph, sourceId: Long, maxHops: Int): DataFrame = {
-    val e = g.edges.select(col("src").as("_s"), col("dst").as("_d"), col("ts").as("_t"))
-      .localCheckpoint()
-    var frontier = g.vertices.filter(col("id") === sourceId)
-      .select(col("id").as("v"), lit(Long.MinValue).as("acc"))
-      .localCheckpoint()
-    var acc = frontier.filter(lit(false)) // empty accumulator with same schema
-    for (_ <- 1 to maxHops) {
-      frontier = frontier
-        .join(e, col("v") === col("_s"))
-        .select(col("_d").as("v"), greatest(col("acc"), col("_t")).as("acc"))
-        .groupBy(col("v")).agg(max(col("acc")).as("acc"))
-        .localCheckpoint()
-      acc = acc.union(frontier)
-    }
-    acc
-      .filter(col("v") =!= sourceId)
-      .groupBy(col("v")).agg(max(col("acc")).as("dist"))
+    val seed = g.vertices.filter(col("id") === sourceId)
+      .select(col("id").as("cur"), lit(Long.MinValue).as("ts"))
+    GraphOps.frontiers(seed, g.edges, maxHops)((moved, _) => moved.groupBy("cur").agg(max("ts").as("ts")))
+      .reduce(_ union _)
+      .filter(col("cur") =!= sourceId)
+      .groupBy(col("cur").as("v")).agg(max(col("ts")).as("dist"))
   }
 
   /** Q5 — Edge count. */

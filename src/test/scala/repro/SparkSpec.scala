@@ -10,7 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * paper's contribution is the broadcast side. Shuffles get one partition
+  * per core, enough for the test graphs of at most a few thousand rows;
+  * SPARK_SHUFFLE_PARTITIONS overrides it.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -24,7 +26,7 @@ object SparkSpec {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", Runtime.getRuntime.availableProcessors.toString))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // Keep captured test/bench output readable (tables, not scheduler spam).

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.JobCount
 import repro.{Oracle, SparkSpec}
+import repro.TraversalOracle.assertContraction
 import repro.engine.Queries
 import repro.graph.{GraphGen, GraphSchema, GraphStats, PropertyGraph}
 
@@ -103,6 +104,21 @@ class KaskadeIntegrationSpec extends SparkSpec {
     assert(kas.rewrite(q).isEmpty) // nothing materialized yet in this instance
   }
 
+  test("rewrite runs no Spark job and costs on the size recorded at materialization") {
+    val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(summarized))
+    val q = kas.parse(blastRadiusCypher)
+    val two = KHopConnectorView("Job", "Job", 2)
+    kas.materialize(two, smallSummarized)
+    val smallEdges = kas.viewSizes(two.key)
+    val view = kas.materialize(two, summarized)
+    assert(kas.viewSizes == Map(two.key -> view.edgeCount))
+    assert(kas.viewSizes(two.key) != smallEdges)
+    val (rw, jobs) = JobCount.of(spark.sparkContext)(kas.rewrite(q))
+    assert(jobs == 0)
+    // The rewriting chosen when every call counted the view's edges.
+    assert(rw == Some(Rewriting(two, 1, 5, 1.371583763543611E7, 390245.523188591)))
+  }
+
   test("dblp pipeline: author-to-author connector answers the co-authorship query") {
     val dblp = GraphGen.dblp(spark, nAuthors = 150, includeVenues = false).cache()
     val stats = GraphStats.compute(dblp)
@@ -125,8 +141,7 @@ class KaskadeIntegrationSpec extends SparkSpec {
 
   // ---- every view type builds ----------------------------------------------
 
-  // k-hop connectors join walk by walk, so the k ≤ 10 candidates of the blast
-  // radius are built on a small pipeline.
+  // A small pipeline keeps building all the blast radius's candidates short.
   private lazy val smallRaw =
     GraphGen.provRaw(spark, nJobs = 8, tasksPerJob = 3, nMachines = 2, fanOut = 2, readers = 2).cache()
   private lazy val smallSummarized = GraphGen.provSummarized(spark, nJobs = 8, fanOut = 2, readers = 2).cache()
@@ -139,38 +154,7 @@ class KaskadeIntegrationSpec extends SparkSpec {
     edges = ((0L until 12L).map(i => (i, (i + 1) % 12)) ++ Seq((2L, 7L), (5L, 1L), (9L, 4L)))
       .map { case (s, d) => (s, d, "LINK", (s * 37 + d * 11) % 50) }).cache()
 
-  /** The DuckDB reference for a bounded path contraction: per pair of
-    * distinct `srcType` and `dstType` vertices, the number of walks of
-    * 1..`maxHops` `edges` between them and the max edge ts along those walks.
-    */
-  private def assertContraction(
-      view: PropertyGraph, g: PropertyGraph, edges: DataFrame, srcType: String, dstType: String, maxHops: Int,
-  ): Unit =
-    Oracle.assertEquivalent(
-      view.edges.select("src", "dst", "ts", "paths"),
-      s"""WITH RECURSIVE w(src, cur, ts, d) AS (
-         |  SELECT id, id, CAST(0 AS BIGINT), 0 FROM srcs
-         |  UNION ALL
-         |  SELECT w.src, e.dst, greatest(w.ts, CAST(e.ts AS BIGINT)), w.d + 1
-         |  FROM w JOIN e ON w.cur = e.src WHERE w.d < $maxHops
-         |)
-         |SELECT w.src AS src, w.cur AS dst, max(w.ts) AS ts, count(*) AS paths
-         |FROM w JOIN dsts ON w.cur = dsts.id WHERE w.src <> w.cur
-         |GROUP BY w.src, w.cur""".stripMargin,
-      "e" -> edges.select("src", "dst", "ts"),
-      "srcs" -> g.verticesOfType(srcType).select("id"),
-      "dsts" -> g.verticesOfType(dstType).select("id"))
-
-  /** Runs `body` with few shuffle partitions, enough for graphs of a few
-    * hundred edges.
-    */
-  private def fewPartitions[A](body: => A): A = {
-    val old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-    try body finally spark.conf.set("spark.sql.shuffle.partitions", old)
-  }
-
-  test("every candidate the enumerator emits materializes") { fewPartitions {
+  test("every candidate the enumerator emits materializes") {
     val built = Seq(
       (smallRaw, GraphSchema.provRaw, blastRadiusCypher),
       (smallSummarized, GraphSchema.provSummarized, blastRadiusCypher),
@@ -187,23 +171,23 @@ class KaskadeIntegrationSpec extends SparkSpec {
     assert(built.map(_.getClass).distinct.size == CandidateView.templates.size)
     assert(built.contains(SameVertexTypeConnectorView("Job")))
     assert(built.contains(SameEdgeTypeConnectorView("Node", "Node", "LINK")))
-  }}
+  }
 
-  test("same-vertex-type connector edges match the DuckDB oracle") { fewPartitions {
+  test("same-vertex-type connector edges match the DuckDB oracle") {
     val jobs = SameVertexTypeConnectorView("Job")
     assertContraction(jobs.build(smallSummarized), smallSummarized, smallSummarized.edges, "Job", "Job", 8)
     val nodes = SameVertexTypeConnectorView("Node", maxHops = 5)
     val view = nodes.build(ring)
     assert(view.edgeCount > 0)
     assertContraction(view, ring, ring.edges, "Node", "Node", 5)
-  }}
+  }
 
-  test("same-edge-type connector edges match the DuckDB oracle") { fewPartitions {
+  test("same-edge-type connector edges match the DuckDB oracle") {
     val links = SameEdgeTypeConnectorView("Node", "Node", "LINK").build(ring)
     assertContraction(links, ring, ring.edges, "Node", "Node", CandidateView.UnboundedPathHops)
     val transfers = SameEdgeTypeConnectorView("Task", "Task", "TRANSFERS_TO").build(smallRaw)
     assert(transfers.edgeCount > 0)
     assertContraction(transfers, smallRaw, smallRaw.edgesOfType("TRANSFERS_TO"), "Task", "Task",
       CandidateView.UnboundedPathHops)
-  }}
+  }
 }

@@ -1,7 +1,9 @@
 package repro.engine
 
+import org.apache.spark.JobCount
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.Gen
+import repro.{Oracle, PropSampling, SparkSpec, TraversalOracle}
 import repro.graph.{GraphGen, PropertyGraph}
 
 class GraphOpsSpec extends SparkSpec {
@@ -158,6 +160,43 @@ class GraphOpsSpec extends SparkSpec {
     assert(rows(0).getLong(3) == 2L) // two contracted paths
   }
 
+  /** Per pair of distinct endpoints, (max ts, number) of the walks of `k`
+    * edges, self-loops excluded, listed one by one.
+    */
+  private def walkReference(edges: Seq[(Long, Long, String, Long)], k: Int): Map[(Long, Long), (Long, Long)] = {
+    val out = edges.filter(e => e._1 != e._2).groupBy(_._1)
+    def ends(v: Long, left: Int, ts: Long): Seq[(Long, Long)] =
+      if (left == 0) Seq(v -> ts)
+      else out.getOrElse(v, Nil).flatMap(e => ends(e._2, left - 1, ts max e._4))
+    edges.map(_._1).distinct
+      .flatMap(s => ends(s, k, Long.MinValue).collect { case (d, ts) if d != s => (s, d) -> ts })
+      .groupMapReduce(_._1)(w => (w._2, 1L)) { case ((t1, n1), (t2, n2)) => (t1 max t2, n1 + n2) }
+  }
+
+  test("k-hop connector and path count equal a walk-level reference on parallel edges") {
+    // jobs 1-3, files 10-11; parallel edges 1->10 and 10->11, a self-loop
+    // on 1, and the cycles 1->10->2->3->1 and 2->10->11->2.
+    val edges = Seq((1L, 10L, "W", 1L), (1L, 10L, "W", 4L), (10L, 11L, "C", 2L), (10L, 11L, "C", 6L),
+      (11L, 2L, "R", 3L), (10L, 2L, "R", 5L), (2L, 10L, "W", 7L), (2L, 3L, "J", 2L), (3L, 1L, "J", 9L),
+      (1L, 1L, "L", 8L), (11L, 3L, "R", 1L))
+    val g = PropertyGraph.of(spark,
+      vertices = Seq(1L, 2L, 3L).map(i => (i, "Job", 1.0, "p")) ++ Seq(10L, 11L).map(i => (i, "File", 0.0, "s")),
+      edges = edges)
+    for (k <- 3 to 4) {
+      val reference = walkReference(edges, k)
+      val rows = GraphOps.kHopConnector(g, k, "Job", "Job", "JJ").edges.select("src", "dst", "ts", "paths")
+        .collect().map(r => (r.getLong(0), r.getLong(1)) -> (r.getLong(2), r.getLong(3))).toMap
+      assert(rows == reference.filter { case ((s, d), _) => s < 10 && d < 10 }, s"k=$k")
+      assert(GraphOps.countKHopPaths(g, k) == reference.values.map(_._2).sum, s"k=$k")
+    }
+  }
+
+  test("10-hop job-to-job connector builds on a 32-job pipeline") {
+    val g = GraphGen.provSummarized(spark, nJobs = 32)
+    val view = GraphOps.kHopConnector(g, 10, "Job", "Job", "10_HOP_JOB_TO_JOB")
+    assert(view.edges.agg(min("paths")).collect()(0).getLong(0) >= 1)
+  }
+
   // ---- source-to-sink connector -------------------------------------------
 
   test("source-to-sink connector on a diamond DAG") {
@@ -179,28 +218,14 @@ class GraphOpsSpec extends SparkSpec {
   test("reachablePairs matches a recursive CTE (oracle)") {
     val jobs = prov.verticesOfType("Job").select("id")
     val pairs = GraphOps.reachablePairs(prov.edges, jobs, maxHops = 4)
-    Oracle.assertEquivalent(
-      pairs,
-      """WITH RECURSIVE reach(root, v, d) AS (
-        |  SELECT id, id, 0 FROM roots
-        |  UNION
-        |  SELECT r.root, e.dst, r.d + 1 FROM reach r JOIN e ON r.v = e.src WHERE r.d < 4
-        |)
-        |SELECT DISTINCT root AS root, v AS v FROM reach WHERE root <> v""".stripMargin,
+    Oracle.assertEquivalent(pairs, TraversalOracle.reachablePairs(4),
       "e" -> prov.edges.select("src", "dst"), "roots" -> jobs)
   }
 
   test("reachablePairs reversed matches the CTE on flipped edges (oracle)") {
     val jobs = prov.verticesOfType("Job").select("id").limit(8)
     val pairs = GraphOps.reachablePairs(prov.edges, jobs, maxHops = 3, reversed = true)
-    Oracle.assertEquivalent(
-      pairs,
-      """WITH RECURSIVE reach(root, v, d) AS (
-        |  SELECT id, id, 0 FROM roots
-        |  UNION
-        |  SELECT r.root, e.src, r.d + 1 FROM reach r JOIN e ON r.v = e.dst WHERE r.d < 3
-        |)
-        |SELECT DISTINCT root AS root, v AS v FROM reach WHERE root <> v""".stripMargin,
+    Oracle.assertEquivalent(pairs, TraversalOracle.reachablePairs(3, reversed = true),
       "e" -> prov.edges.select("src", "dst"), "roots" -> jobs)
   }
 
@@ -215,5 +240,56 @@ class GraphOpsSpec extends SparkSpec {
     val h4 = GraphOps.reachablePairs(prov.edges, jobs, 4).count()
     assert(h2 <= h4)
     assert(h2 > 0)
+  }
+
+  // ---- the frontier step ---------------------------------------------------
+
+  test("the frontier step stops at the first empty hop") {
+    // 1 -> 2 -> 3 -> 4
+    val chain = PropertyGraph.of(spark, vertices = (1L to 4L).map(i => (i, "Node", 0.0, "g")),
+      edges = Seq((1L, 2L, "E", 1L), (2L, 3L, "E", 2L), (3L, 4L, "E", 3L)))
+    val seed = chain.vertices.filter(col("id") === 1L).select(col("id").as("cur"))
+    def traverse(maxHops: Int) = JobCount.of(spark.sparkContext)(
+      GraphOps.frontiers(seed, chain.edges, maxHops)((moved, _) => moved))
+    val (hops, jobs) = traverse(10)
+    // The seed, three hops and the empty fourth, which ends the traversal.
+    assert(hops.map(_.count()) == Seq(1L, 1L, 1L, 1L, 0L))
+    // Hop 1 is the only one materialized with a bound of 2.
+    val perHop = traverse(2)._2
+    assert(jobs <= 4 * perHop, s"$jobs jobs for 4 hops, $perHop for one")
+  }
+}
+
+/** The frontier step against DuckDB on random small typed graphs, with
+  * cycles, parallel edges and self-loops, and hop bounds 0..6.
+  */
+class FrontierPropSpec extends SparkSpec with PropSampling {
+
+  override def samples: Int = 10
+
+  private val genCase = for {
+    n <- Gen.choose(1, 7)
+    vtypes <- Gen.listOfN(n, Gen.oneOf("A", "B"))
+    m <- Gen.choose(0, 12)
+    edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0L, n - 1L), Gen.choose(0L, n - 1L), Gen.choose(0L, 50L)))
+    ring <- Gen.oneOf(true, false)
+    hops <- Gen.choose(0, 6)
+  } yield {
+    val cycle = if (ring) (0L until n.toLong).map(i => (i, (i + 1) % n, 3 * i)) else Nil
+    val g = PropertyGraph.of(spark,
+      vertices = vtypes.zipWithIndex.map { case (t, i) => (i.toLong, t, 1.0, "g") },
+      edges = (edges ++ cycle).map { case (s, d, ts) => (s, d, "E", ts) })
+    (g, hops)
+  }
+
+  test("reachablePairs and pathContraction equal recursive CTEs") {
+    forAll(genCase) { case (g, hops) =>
+      val roots = g.verticesOfType("A").select("id")
+      for (reversed <- Seq(false, true))
+        Oracle.assertEquivalent(GraphOps.reachablePairs(g.edges, roots, hops, reversed),
+          TraversalOracle.reachablePairs(hops, reversed), "e" -> g.edges.select("src", "dst"), "roots" -> roots)
+      val view = GraphOps.pathContraction(g, roots, g.verticesOfType("B").select("id"), g.edges, hops, "C")
+      TraversalOracle.assertContraction(view, g, g.edges, "A", "B", hops)
+    }
   }
 }
