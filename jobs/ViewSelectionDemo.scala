@@ -1,42 +1,47 @@
 package repro.jobs
 
-import repro.core.{Kaskade, KHopConnectorView}
+import repro.core.{CostModel, Kaskade}
 import repro.engine.Queries
-import repro.experiments.ExperimentUtil
+import repro.experiments.{ExperimentUtil, ViewCatalog}
 import repro.graph.{GraphGen, GraphSchema, GraphStats}
 
 /** End-to-end demo of the Fig. 2 pipeline: profile the graph, enumerate and
-  * select views under a budget, materialize, rewrite the blast-radius query,
-  * and execute both plans.
+  * select views under a budget, materialize the selected views, let Kaskade
+  * rewrite the blast-radius query over them, and execute both plans.
   */
 object ViewSelectionDemo {
   def main(args: Array[String]): Unit = {
-    implicit val spark: org.apache.spark.sql.SparkSession = ExperimentUtil.session("kaskade-demo")
+    val spark = ExperimentUtil.session("kaskade-demo")
     try {
       val nJobs = args.headOption.map(_.toLong).getOrElse(512L)
       val g = GraphGen.provSummarized(spark, nJobs).cache()
       val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(g))
-      val q = kas.parse(repro.experiments.ViewCatalog.blastRadiusCypher)
+      val q = kas.parse(ViewCatalog.blastRadiusCypher)
+      val rawHops = CostModel.hopBudget(q)
 
       println("== candidate views ==")
       kas.enumerate(q).foreach(v => println(s"  ${v.key}"))
 
-      println("== selected under budget ==")
-      val selected = kas.selectViews(Seq(q), budgetEdges = 10 * g.edgeCount)
-      selected.foreach(s =>
-        println(f"  ${s.view.key}  size=${s.size}%.0f  improvement=${s.improvement}%.1f"))
+      println(s"== selected under budget, materialized (graph has ${g.edgeCount} edges) ==")
+      kas.selectViews(Seq(q), budgetEdges = 10 * g.edgeCount).foreach { s =>
+        kas.materialize(s.view, g)
+        println(f"  ${s.view.key}  size=${s.size}%.0f  improvement=${s.improvement}%.3g  " +
+          s"edges=${kas.viewSizes(s.view.key)}")
+      }
 
-      val view = kas.materialize(KHopConnectorView("Job", "Job", 2), g)
-      println(s"== materialized 2_HOP_JOB_TO_JOB: ${view.edgeCount} edges " +
-        s"(graph has ${g.edgeCount}) ==")
+      val (plan, hops) = kas.rewrite(q) match {
+        case Some(rw) =>
+          println(s"== rewriting (paper Lst. 4) ==\n  ${rw.toCypher("q_j1", "q_j2")}")
+          require(rw.hopsLo == 1, s"Q1 starts at hop 1, the rewriting needs ${rw.hopsLo}")
+          (kas.viewGraph(rw.view).get, rw.hopsHi)
+        case None =>
+          println("== no selected view answers the query: the raw plan runs ==")
+          (g, rawHops)
+      }
 
-      val rw = kas.rewrite(q).get
-      println(s"== rewriting (paper Lst. 4) ==\n  ${rw.toCypher("q_j1", "q_j2")}")
-
-      val (baseN, tBase) = ExperimentUtil.timeMs()(Queries.q1BlastRadius(g, "Job", 8).count())
-      val (viewN, tView) =
-        ExperimentUtil.timeMs()(Queries.q1BlastRadius(view, "Job", rw.hopsHi).count())
-      println(f"== Q1 runtime: base $tBase%.0f ms ($baseN rows) vs view $tView%.0f ms " +
+      val (baseN, tBase) = ExperimentUtil.timeMs()(Queries.q1BlastRadius(g, "Job", rawHops).count())
+      val (viewN, tView) = ExperimentUtil.timeMs()(Queries.q1BlastRadius(plan, "Job", hops).count())
+      println(f"== Q1 runtime: base $tBase%.0f ms ($baseN rows) vs chosen plan $tView%.0f ms " +
         f"($viewN rows), speedup ${tBase / tView}%.1fx ==")
     } finally spark.stop()
   }

@@ -29,17 +29,6 @@ sealed trait CandidateView {
 
   /** Materialize the view over `g` on the execution engine. */
   def build(g: PropertyGraph): PropertyGraph
-
-  /** Performance improvement of the view for one query (§ V-B): the size
-    * reduction it gives the query's traversal (raw edges / view edges) if
-    * the enumerator `derived` it for the query, else 0. A k-hop connector
-    * gives its `rewriting`'s estimated speedup instead.
-    */
-  def improvement(
-      derived: Boolean, rewriting: Option[Rewriting], stats: GraphStats, schema: GraphSchema): Double = {
-    val size = estimatedSize(stats, schema)
-    if (!derived || size <= 0) 0.0 else stats.edgeCount.toDouble / math.max(size, 1.0)
-  }
 }
 object CandidateView {
 
@@ -100,9 +89,6 @@ final case class KHopConnectorView(srcType: String, dstType: String, k: Int) ext
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     SizeEstimator.estimate(stats, schema, k, CostModel.DefaultAlpha)
   override def build(g: PropertyGraph): PropertyGraph = GraphOps.kHopConnector(g, k, srcType, dstType, label)
-  override def improvement(
-      derived: Boolean, rewriting: Option[Rewriting], stats: GraphStats, schema: GraphSchema): Double =
-    rewriting.fold(0.0)(_.estimatedSpeedup)
 }
 object KHopConnectorView {
   val template = new Template("kHopConnector(X, Y, XT, YT, K)", (m, _) =>

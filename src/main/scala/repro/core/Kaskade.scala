@@ -24,18 +24,21 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
     ViewSelector.select(workload, schema, stats, budgetEdges)
 
   /** Materialize a selected view over `g` on the execution engine, counting
-    * its edges once (a key materialized again gets its new size). The edges
+    * its edges once (a key materialized again gets its new size). Both sides
     * are cached in one partition per core, not one per shuffle partition, so
     * that this count and every later scan of the view run that many tasks.
-    * The RDD count fills the edge cache in one job, with no aggregate
-    * exchange, and runs before the vertices are cached, so that it does not
-    * build their cache inside its job.
+    * The coalesce also gives each side a plan of its own, so unpersisting the
+    * view releases only what this call cached: an edge summarizer's vertices
+    * are `g`'s, and `g`'s cache stays. The RDD count fills the edge cache in
+    * one job, with no aggregate exchange, and runs before the vertices are
+    * cached, so that it does not build their cache inside its job.
     */
   def materialize(view: CandidateView, g: PropertyGraph): PropertyGraph = {
     val built = view.build(g)
-    val edges = built.edges.coalesce(built.edges.sparkSession.sparkContext.defaultParallelism).cache()
+    val parallelism = built.edges.sparkSession.sparkContext.defaultParallelism
+    val edges = built.edges.coalesce(parallelism).cache()
     val size = edges.rdd.count()
-    val cached = PropertyGraph(built.vertices.cache(), edges)
+    val cached = PropertyGraph(built.vertices.coalesce(parallelism).cache(), edges)
     materializedViews += view.key -> (view, cached, size)
     cached
   }

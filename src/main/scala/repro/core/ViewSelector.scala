@@ -25,6 +25,11 @@ object ViewSelector {
     * (budget in estimated edges — the paper's budget is a share of memory,
     * which is proportional).
     *
+    * A view's improvement for a query is the estimated speedup of the
+    * [[QueryRewriter.rewritings]] entry that reads it, and 0 when no
+    * rewriting does: the benefit of a view (Harinarayan, Rajaraman & Ullman,
+    * SIGMOD 1996), so only views that some plan reads are selected.
+    *
     * Optional `queryWeights` mirror the paper's extension for weighting
     * queries by frequency/expense.
     */
@@ -38,21 +43,18 @@ object ViewSelector {
     val weights = queryWeights.getOrElse(Seq.fill(workload.size)(1.0))
     require(weights.size == workload.size, "one weight per query required")
 
-    // Each query is enumerated and rewritten once; a view applies to a query
-    // it was derived for, and a k-hop connector through its rewriting.
-    val derived = workload.map(q => ViewEnumerator.enumerate(q, schema))
-    val candidates: Seq[CandidateView] =
-      derived.flatten.groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
-    val perQuery = workload.zip(derived).zip(weights).map { case ((q, views), w) =>
-      val rewritings = QueryRewriter.rewritings(q, schema, stats, candidates).map(r => r.view.key -> r).toMap
-      (views.map(_.key).toSet, rewritings, w)
-    }
+    // Each query is enumerated and rewritten once.
+    val candidates = workload.flatMap(ViewEnumerator.enumerate(_, schema))
+      .groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
+    val improvements = workload.zip(weights)
+      .flatMap { case (q, w) =>
+        QueryRewriter.rewritings(q, schema, stats, candidates).map(r => r.view.key -> w * r.estimatedSpeedup)
+      }
+      .groupMapReduce(_._1)(_._2)(_ + _)
 
-    val scored = candidates.map { v =>
-      val improvement = perQuery
-        .map { case (keys, rewritings, w) => w * v.improvement(keys(v.key), rewritings.get(v.key), stats, schema) }
-        .sum
-      ScoredView(v, v.estimatedSize(stats, schema), CostModel.creationCost(v, stats, schema), improvement)
+    val scored = candidates.flatMap { v =>
+      improvements.get(v.key).map(ScoredView(v, v.estimatedSize(stats, schema),
+        CostModel.creationCost(v, stats, schema), _))
     }.filter(_.improvement > 0)
 
     val items = scored.map(s => Knapsack.Item(math.max(0L, math.round(s.size)), s.value)).toIndexedSeq

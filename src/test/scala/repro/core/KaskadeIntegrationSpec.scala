@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.JobCount
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec}
 import repro.TraversalOracle.assertContraction
 import repro.engine.Queries
@@ -20,6 +21,11 @@ class KaskadeIntegrationSpec extends SparkSpec {
       |      (q_f1:File) -[r*0..8]-> (q_f2:File),
       |      (q_f2:File) -[:IS_READ_BY]-> (q_j2:Job)
       |RETURN q_j1 as A, q_j2 as B""".stripMargin
+
+  /** Spark jobs that materializing the blast radius's selection on
+    * `summarized` runs: the 2-hop connector alone, its edges counted once.
+    */
+  private val MaterializeSelectionJobs = 8
 
   test("pipeline: summarizer chosen on the raw schema removes tasks+machines") {
     val kas = Kaskade.forGraph(raw, GraphSchema.provRaw)
@@ -58,6 +64,35 @@ class KaskadeIntegrationSpec extends SparkSpec {
     val viewResult = Queries.q1BlastRadius(view, "Job", maxHops = rw.get.hopsHi)
     assert(rawResult.exceptAll(viewResult).count() == 0)
     assert(viewResult.exceptAll(rawResult).count() == 0)
+  }
+
+  test("pipeline: the blast radius selects only the 2-hop connector that its rewriting reads") {
+    val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(summarized))
+    val baseEdges = summarized.edgeCount
+    val selected = kas.selectViews(Seq(kas.parse(blastRadiusCypher)), budgetEdges = 7 * baseEdges)
+    assert(selected.map(_.view) == Seq(KHopConnectorView("Job", "Job", 2)))
+    // Other tests cache the same view of `summarized`; release it, so that
+    // the count covers the build.
+    selected.foreach(s => kas.materialize(s.view, summarized).unpersist())
+    val (_, jobs) = JobCount.of(spark.sparkContext)(selected.foreach(s => kas.materialize(s.view, summarized)))
+    assert(jobs == MaterializeSelectionJobs)
+    // No selected view is as large as the base graph. The bound is checked
+    // on the built size: the α = 95 estimate, 4352 edges here, is above it.
+    assert(kas.viewSizes.values.forall(_ < baseEdges), kas.viewSizes)
+    kas.materialized.foreach(v => kas.viewGraph(v).foreach(_.unpersist()))
+  }
+
+  test("unpersisting a materialized edge summarizer keeps the base graph's cache") {
+    val g = GraphGen.provSummarized(spark, nJobs = 8, fanOut = 2, readers = 2).cache()
+    val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(g))
+    val cached = (g.vertices.storageLevel, g.edges.storageLevel)
+    assert(cached._1 != StorageLevel.NONE && cached._2 != StorageLevel.NONE)
+    Seq(EdgeInclusionSummarizerView(Seq("IS_READ_BY", "WRITES_TO")), EdgeRemovalSummarizerView("WRITES_TO"))
+      .foreach { v =>
+        kas.materialize(v, g).unpersist()
+        assert((g.vertices.storageLevel, g.edges.storageLevel) == cached, v.key)
+      }
+    g.unpersist()
   }
 
   test("pipeline: rewritten Q1 result matches the DuckDB oracle end-to-end") {
