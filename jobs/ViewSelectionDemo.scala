@@ -14,7 +14,8 @@ object ViewSelectionDemo {
     val spark = ExperimentUtil.session("kaskade-demo")
     try {
       val nJobs = args.headOption.map(_.toLong).getOrElse(512L)
-      val g = GraphGen.provSummarized(spark, nJobs).cache()
+      // The base shares the views' layout, one partition per core.
+      val g = GraphGen.provSummarized(spark, nJobs).compact.cache()
       val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(g))
       val q = kas.parse(ViewCatalog.blastRadiusCypher)
       val rawHops = CostModel.hopBudget(q)

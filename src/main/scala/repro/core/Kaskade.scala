@@ -24,21 +24,26 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
     ViewSelector.select(workload, schema, stats, budgetEdges)
 
   /** Materialize a selected view over `g` on the execution engine, counting
-    * its edges once (a key materialized again gets its new size). Both sides
-    * are cached in one partition per core, not one per shuffle partition, so
-    * that this count and every later scan of the view run that many tasks.
-    * The coalesce also gives each side a plan of its own, so unpersisting the
-    * view releases only what this call cached: an edge summarizer's vertices
-    * are `g`'s, and `g`'s cache stays. The RDD count fills the edge cache in
-    * one job, with no aggregate exchange, and runs before the vertices are
-    * cached, so that it does not build their cache inside its job.
+    * its edges once (a key materialized again gets its new size). The view is
+    * built from `g.compact` and both its sides are cached through `compact`,
+    * so the build, this count and every later scan of the view run one task
+    * per core, whatever layout `g` has. Each side thus has a plan of its own,
+    * so unpersisting the view releases only what this call cached: an edge
+    * summarizer's vertices are `g`'s, and `g`'s cache stays. The RDD count
+    * fills the edge cache in one job, with no aggregate exchange, and runs
+    * before the vertices are cached, so that it does not build their cache
+    * inside its job.
+    *
+    * A view this call replaces is released before the build: a build over the
+    * same graph has the same plan, and Spark's cache manager would share the
+    * old cache entry with the new view.
     */
   def materialize(view: CandidateView, g: PropertyGraph): PropertyGraph = {
-    val built = view.build(g)
-    val parallelism = built.edges.sparkSession.sparkContext.defaultParallelism
-    val edges = built.edges.coalesce(parallelism).cache()
+    materializedViews.get(view.key).foreach(_._2.unpersist())
+    val built = view.build(g.compact).compact
+    val edges = built.edges.cache()
     val size = edges.rdd.count()
-    val cached = PropertyGraph(built.vertices.coalesce(parallelism).cache(), edges)
+    val cached = PropertyGraph(built.vertices.cache(), edges)
     materializedViews += view.key -> (view, cached, size)
     cached
   }

@@ -58,9 +58,11 @@ object GraphStats {
     *
     * Zero-out-degree vertices count toward the distribution — the α-th
     * percentile is over *all* vertices of the type, matching "out-degree for
-    * each vertex type of the raw graph".
+    * each vertex type of the raw graph". The profile reads `g.compact`, so
+    * its scans run one task per core whatever layout `g` has.
     */
-  def compute(g: PropertyGraph): GraphStats = {
+  def compute(input: PropertyGraph): GraphStats = {
+    val g = input.compact
     val outDeg = g.edges.groupBy("src").agg(count(lit(1)).as("outdeg"))
     val perVertex = g.vertices
       .join(outDeg, g.vertices("id") === outDeg("src"), "left")

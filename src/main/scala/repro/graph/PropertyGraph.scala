@@ -26,6 +26,17 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
   /** Edges of one type. */
   def edgesOfType(etype: String): DataFrame = edges.filter(col("etype") === etype)
 
+  /** Both sides coalesced to one partition per core (`defaultParallelism`),
+    * with no shuffle and no cache. A side with that few partitions keeps its
+    * layout. Kaskade runs its own Spark work on this layout, whatever layout
+    * its input has (DESIGN.md § 1, item 7). Each side gets a plan of its
+    * own, so caching the result never shares a cache entry with this graph.
+    */
+  def compact: PropertyGraph = {
+    val parallelism = edges.sparkSession.sparkContext.defaultParallelism
+    PropertyGraph(vertices.coalesce(parallelism), edges.coalesce(parallelism))
+  }
+
   /** Cache both sides (benchmarks materialize before timing). */
   def cache(): PropertyGraph = PropertyGraph(vertices.cache(), edges.cache())
 

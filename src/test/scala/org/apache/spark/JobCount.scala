@@ -1,24 +1,37 @@
 package org.apache.spark
 
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import scala.collection.mutable
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskStart}
 
-/** Counts the Spark jobs a block submits. It waits for the listener bus
-  * before and after the block, so the count holds exactly that block's jobs;
-  * the wait is `private[spark]`, hence this package.
+/** Counts the Spark jobs a block submits and the tasks each of its stages
+  * runs. It waits for the listener bus before and after the block, so the
+  * counts hold exactly that block's work; the wait is `private[spark]`, hence
+  * this package.
   */
 object JobCount {
-  def of[A](sc: SparkContext)(body: => A): (A, Int) = {
+
+  /** A block's Spark work: its jobs, and the tasks run per stage id. */
+  final case class Work(jobs: Int, stageTasks: Map[Int, Int]) {
+    def tasks: Int = stageTasks.values.sum
+    def maxStageTasks: Int = stageTasks.values.maxOption.getOrElse(0)
+  }
+
+  def of[A](sc: SparkContext)(body: => A): (A, Work) = {
     val jobs = new AtomicInteger
+    val stageTasks = mutable.Map.empty[Int, Int].withDefaultValue(0)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskStart(e: SparkListenerTaskStart): Unit = stageTasks.synchronized {
+        stageTasks(e.stageId) += 1
+      }
     }
     sc.listenerBus.waitUntilEmpty()
     sc.addSparkListener(listener)
     try {
       val result = body
       sc.listenerBus.waitUntilEmpty()
-      (result, jobs.get)
+      (result, Work(jobs.get, stageTasks.synchronized(stageTasks.toMap)))
     } finally sc.removeSparkListener(listener)
   }
 }

@@ -74,12 +74,49 @@ class KaskadeIntegrationSpec extends SparkSpec {
     // Other tests cache the same view of `summarized`; release it, so that
     // the count covers the build.
     selected.foreach(s => kas.materialize(s.view, summarized).unpersist())
-    val (_, jobs) = JobCount.of(spark.sparkContext)(selected.foreach(s => kas.materialize(s.view, summarized)))
-    assert(jobs == MaterializeSelectionJobs)
+    val (_, work) = JobCount.of(spark.sparkContext)(selected.foreach(s => kas.materialize(s.view, summarized)))
+    assert(work.jobs == MaterializeSelectionJobs)
     // No selected view is as large as the base graph. The bound is checked
     // on the built size: the α = 95 estimate, 4352 edges here, is above it.
     assert(kas.viewSizes.values.forall(_ < baseEdges), kas.viewSizes)
     kas.materialized.foreach(v => kas.viewGraph(v).foreach(_.unpersist()))
+  }
+
+  /** `g` cached in 64 partitions per side: the generator's layout under the
+    * harnesses' 64 shuffle partitions, wider than one partition per core.
+    */
+  private def at64(g: PropertyGraph): PropertyGraph =
+    PropertyGraph(g.vertices.repartition(64), g.edges.repartition(64)).cache()
+
+  test("set-up over a 64-partition input gives the same stats and runs at most one task per core") {
+    val summarized64 = at64(summarized)
+    assert(GraphStats.compute(summarized64) == GraphStats.compute(summarized))
+    val budget = 7 * summarized.edgeCount
+    val (kas, work) = JobCount.of(spark.sparkContext) {
+      val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(summarized64))
+      kas.selectViews(Seq(kas.parse(blastRadiusCypher)), budget).foreach(s => kas.materialize(s.view, summarized64))
+      kas
+    }
+    val parallelism = spark.sparkContext.defaultParallelism
+    assert(work.maxStageTasks <= parallelism, s"tasks per stage ${work.stageTasks}, $parallelism cores")
+    assert(kas.materialized == Seq(KHopConnectorView("Job", "Job", 2)))
+    kas.materialized.foreach(v => kas.viewGraph(v).foreach(_.unpersist()))
+    summarized64.unpersist()
+  }
+
+  test("materializing a view key again releases the view it replaces") {
+    val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(summarized))
+    val two = KHopConnectorView("Job", "Job", 2)
+    val small = kas.materialize(two, smallSummarized)
+    kas.materialize(two, summarized)
+    assert(small.edges.storageLevel == StorageLevel.NONE)
+    val size = kas.viewSizes(two.key)
+    // A build over the same graph shares the old view's plan, so releasing
+    // the old view after the build would drop the new one's cache.
+    val again = kas.materialize(two, summarized)
+    assert(again.edges.storageLevel != StorageLevel.NONE)
+    assert(kas.viewSizes(two.key) == size && again.edgeCount == size)
+    again.unpersist()
   }
 
   test("unpersisting a materialized edge summarizer keeps the base graph's cache") {
@@ -148,8 +185,8 @@ class KaskadeIntegrationSpec extends SparkSpec {
     val view = kas.materialize(two, summarized)
     assert(kas.viewSizes == Map(two.key -> view.edgeCount))
     assert(kas.viewSizes(two.key) != smallEdges)
-    val (rw, jobs) = JobCount.of(spark.sparkContext)(kas.rewrite(q))
-    assert(jobs == 0)
+    val (rw, work) = JobCount.of(spark.sparkContext)(kas.rewrite(q))
+    assert(work.jobs == 0)
     // The rewriting chosen when every call counted the view's edges.
     assert(rw == Some(Rewriting(two, 1, 5, 1.371583763543611E7, 390245.523188591)))
   }
@@ -189,6 +226,8 @@ class KaskadeIntegrationSpec extends SparkSpec {
     edges = ((0L until 12L).map(i => (i, (i + 1) % 12)) ++ Seq((2L, 7L), (5L, 1L), (9L, 4L)))
       .map { case (s, d) => (s, d, "LINK", (s * 37 + d * 11) % 50) }).cache()
 
+  private def edgeRows(g: PropertyGraph): Seq[String] = g.edges.collect().map(_.toString).sorted.toSeq
+
   test("every candidate the enumerator emits materializes") {
     val built = Seq(
       (smallRaw, GraphSchema.provRaw, blastRadiusCypher),
@@ -196,12 +235,20 @@ class KaskadeIntegrationSpec extends SparkSpec {
       (ring, GraphSchema.homogeneous(), "MATCH (a:Node)-[r*1..4]->(b:Node) RETURN a, b"),
     ).flatMap { case (g, schema, cypher) =>
       val kas = new Kaskade(schema, GraphStats.compute(g))
-      kas.enumerate(kas.parse(cypher)).map { view =>
+      // Every view has the same edges when built from a 64-partition copy.
+      val g64 = at64(g)
+      val views = kas.enumerate(kas.parse(cypher)).map { view =>
         val v = kas.materialize(view, g)
         assert(v.edges.columns.take(4).toSeq == PropertyGraph.edgeCols && v.edgeCount >= 0, view.key)
+        val rows = edgeRows(v)
         v.unpersist()
+        val v64 = kas.materialize(view, g64)
+        assert(edgeRows(v64) == rows, view.key)
+        v64.unpersist()
         view
       }
+      g64.unpersist()
+      views
     }
     assert(built.map(_.getClass).distinct.size == CandidateView.templates.size)
     assert(built.contains(SameVertexTypeConnectorView("Job")))

@@ -249,8 +249,11 @@ class GraphOpsSpec extends SparkSpec {
     val chain = PropertyGraph.of(spark, vertices = (1L to 4L).map(i => (i, "Node", 0.0, "g")),
       edges = Seq((1L, 2L, "E", 1L), (2L, 3L, "E", 2L), (3L, 4L, "E", 3L)))
     val seed = chain.vertices.filter(col("id") === 1L).select(col("id").as("cur"))
-    def traverse(maxHops: Int) = JobCount.of(spark.sparkContext)(
-      GraphOps.frontiers(seed, chain.edges, maxHops)((moved, _) => moved))
+    def traverse(maxHops: Int) = {
+      val (hops, work) = JobCount.of(spark.sparkContext)(
+        GraphOps.frontiers(seed, chain.edges, maxHops)((moved, _) => moved))
+      (hops, work.jobs)
+    }
     val (hops, jobs) = traverse(10)
     // The seed, three hops and the empty fourth, which ends the traversal.
     assert(hops.map(_.count()) == Seq(1L, 1L, 1L, 1L, 0L))
