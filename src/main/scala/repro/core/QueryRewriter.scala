@@ -42,8 +42,18 @@ object QueryRewriter {
       stats: GraphStats,
       materialized: Seq[CandidateView],
       materializedSizes: Map[String, Long] = Map.empty,
+  ): Seq[Rewriting] =
+    rewritings(q, ViewEnumerator.kHopInstantiations(q, schema), schema, stats, materialized, materializedSizes)
+
+  /** [[rewritings]] from the k-hop instantiations already derived for `q`. */
+  def rewritings(
+      q: QueryGraph,
+      insts: Seq[ViewEnumerator.KHopInstantiation],
+      schema: GraphSchema,
+      stats: GraphStats,
+      materialized: Seq[CandidateView],
+      materializedSizes: Map[String, Long],
   ): Seq[Rewriting] = {
-    val insts = ViewEnumerator.kHopInstantiations(q, schema)
     val costRaw = CostModel.queryCostOnRaw(q, stats)
     val allLengths = CostModel.hopBudget(q) <= ViewEnumerator.MaxConnectorHops
 

@@ -39,16 +39,28 @@ object ViewSelector {
       stats: GraphStats,
       budgetEdges: Long,
       queryWeights: Option[Seq[Double]] = None,
-  ): Seq[ScoredView] = {
-    val weights = queryWeights.getOrElse(Seq.fill(workload.size)(1.0))
-    require(weights.size == workload.size, "one weight per query required")
+  ): Seq[ScoredView] =
+    selectEnumerated(workload.map(ViewEnumerator.enumeration(_, schema)), schema, stats, budgetEdges, queryWeights)
 
-    // Each query is enumerated and rewritten once.
-    val candidates = workload.flatMap(ViewEnumerator.enumerate(_, schema))
+  /** [[select]] over queries already enumerated: each query is rewritten
+    * from the k-hop instantiations of its own enumeration.
+    */
+  private[core] def selectEnumerated(
+      enumerations: Seq[ViewEnumerator.Enumeration],
+      schema: GraphSchema,
+      stats: GraphStats,
+      budgetEdges: Long,
+      queryWeights: Option[Seq[Double]],
+  ): Seq[ScoredView] = {
+    val weights = queryWeights.getOrElse(Seq.fill(enumerations.size)(1.0))
+    require(weights.size == enumerations.size, "one weight per query required")
+
+    val candidates = enumerations.flatMap(_.candidates)
       .groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
-    val improvements = workload.zip(weights)
-      .flatMap { case (q, w) =>
-        QueryRewriter.rewritings(q, schema, stats, candidates).map(r => r.view.key -> w * r.estimatedSpeedup)
+    val improvements = enumerations.zip(weights)
+      .flatMap { case (e, w) =>
+        QueryRewriter.rewritings(e.query, e.kHops, schema, stats, candidates, Map.empty)
+          .map(r => r.view.key -> w * r.estimatedSpeedup)
       }
       .groupMapReduce(_._1)(_._2)(_ + _)
 

@@ -15,6 +15,10 @@ package repro.core
   *  - summarizer templates are normalized to enumerate removable/keepable
   *    type sets directly (the listing's ETYPE_REMOVE with an unbound negated
   *    goal is not executable under negation-as-failure).
+  *  - the existence checks whose arguments are all bound by then
+  *    (`queryPath(X, Y)`, `schemaPath(..)` and `schemaKHopWalk(XTYPE, YTYPE, K)`)
+  *    are wrapped in `once/1`. Each derivation of such a check would repeat
+  *    the same solution, so `once/1` drops duplicates, not candidates.
   */
 object ViewTemplates {
 
@@ -28,7 +32,7 @@ object ViewTemplates {
       queryVertexType(Y, YTYPE),
       queryKHopPath(X, Y, K),
       % schema constraints
-      schemaKHopWalk(XTYPE, YTYPE, K).
+      once(schemaKHopWalk(XTYPE, YTYPE, K)).
 
     % k-hop connector where all vertices are of the same type.
     kHopConnectorSameVertexType(X, Y, VTYPE, K) :-
@@ -40,9 +44,9 @@ object ViewTemplates {
       queryVertexProjected(X), queryVertexProjected(Y), X \== Y,
       queryVertexType(X, VTYPE),
       queryVertexType(Y, VTYPE),
-      queryPath(X, Y),
+      once(queryPath(X, Y)),
       % schema constraints
-      schemaPath(VTYPE, VTYPE).
+      once(schemaPath(VTYPE, VTYPE)).
 
     % Source-to-sink variable-length connector.
     sourceToSinkConnector(X, Y) :-
@@ -50,16 +54,16 @@ object ViewTemplates {
       queryVertexSource(X),
       queryVertexSink(Y),
       X \== Y,
-      queryPath(X, Y),
+      once(queryPath(X, Y)),
       % schema constraints
       queryVertexType(X, XTYPE), queryVertexType(Y, YTYPE),
-      schemaPath(XTYPE, YTYPE).
+      once(schemaPath(XTYPE, YTYPE)).
 
     % Connector via a path of a single edge type (Table I, row 3).
     sameEdgeTypeConnector(X, Y, ETYPE) :-
       queryVertexProjected(X), queryVertexProjected(Y), X \== Y,
       queryVertexType(X, XTYPE), queryVertexType(Y, YTYPE),
-      queryPath(X, Y),
+      once(queryPath(X, Y)),
       schemaPathVia(XTYPE, YTYPE, ETYPE).
     """
 

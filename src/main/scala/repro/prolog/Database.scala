@@ -28,7 +28,10 @@ final class Database {
 
   def size: Int = store.valuesIterator.map(_.size).sum
 
-  /** Deep copy (used to extend a base rule library with per-query facts). */
+  /** Shallow copy: a new index over the same immutable clause vectors, so
+    * clauses added to the copy never reach this database (used to extend a
+    * base rule library with per-query facts).
+    */
   def copy(): Database = {
     val db = new Database
     store.foreach { case (k, v) => db.store.update(k, v) }

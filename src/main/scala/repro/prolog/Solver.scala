@@ -3,15 +3,28 @@ package repro.prolog
 /** SLD-resolution solver with backtracking (as a lazy solution stream),
   * negation-as-failure, if-then-else, arithmetic, and the builtins used by
   * Kaskade's constraint-mining rules and view templates (`between/3`,
-  * `findall/3`, `setof/3`, `call/N`, `sort/2`, `length/2`, …).
+  * `findall/3`, `setof/3`, `call/N`, `once/1`, `sort/2`, `length/2`, …).
   *
   * Semantics follow SWI-Prolog for the supported subset; clause selection is
   * source order, conjunctions solve left-to-right.
+  *
+  * The solver counts its own work as it goes: the database clauses it tries
+  * (each is renamed apart and unified with the goal) and the deepest goal it
+  * reaches. The counts cover every goal this instance has solved and never
+  * reset.
   */
 final class Solver(db: Database, maxDepth: Int = 4000) {
   import Solver.PrologError
 
   private var freshCounter = 0L
+  private var tried = 0L
+  private var deepest = 0L
+
+  /** Database clauses renamed and unified with a goal. */
+  def clausesTried: Long = tried
+
+  /** The greatest goal depth reached. */
+  def maxDepthReached: Long = deepest
 
   private def renameClause(c: Clause): Clause = {
     val mapping = collection.mutable.Map.empty[String, Var]
@@ -56,6 +69,7 @@ final class Solver(db: Database, maxDepth: Int = 4000) {
   private def solveGoal(goal: Term, s: Subst, depth: Int): LazyList[Subst] = {
     if (depth > maxDepth)
       throw PrologError(s"depth limit $maxDepth exceeded at goal ${s.resolve(goal).show}")
+    if (depth > deepest) deepest = depth
     s.walk(goal) match {
       case Atom(name)        => dispatch(Struct(name, Vector.empty), s, depth)
       case st: Struct        => dispatch(st, s, depth)
@@ -89,6 +103,9 @@ final class Solver(db: Database, maxDepth: Int = 4000) {
           case Some(s2) => solveGoal(g.args(1), s2, depth + 1)
           case None     => LazyList.empty
         }
+
+      // once/1 commits to the first solution of its goal, keeping its bindings.
+      case ("once", 1) => solveGoal(g.args(0), s, depth + 1).take(1)
 
       case ("not", 1) | ("\\+", 1) =>
         if (solveGoal(g.args(0), s, depth + 1).isEmpty) LazyList(s) else LazyList.empty
@@ -172,6 +189,7 @@ final class Solver(db: Database, maxDepth: Int = 4000) {
         if (clauses.isEmpty && !db.contains(functor, arity))
           throw PrologError(s"unknown predicate $functor/$arity")
         LazyList.from(clauses).flatMap { c =>
+          tried += 1
           val rc = renameClause(c)
           Unify.unify(g, rc.head, s) match {
             case Some(s2) => solveAll(rc.body, s2, depth + 1)
@@ -195,14 +213,20 @@ final class Solver(db: Database, maxDepth: Int = 4000) {
     case Struct("+", Vector(a, b))   => eval(a, s) + eval(b, s)
     case Struct("-", Vector(a, b))   => eval(a, s) - eval(b, s)
     case Struct("*", Vector(a, b))   => eval(a, s) * eval(b, s)
-    case Struct("/", Vector(a, b))   => eval(a, s) / eval(b, s)
-    case Struct("mod", Vector(a, b)) => eval(a, s) % eval(b, s)
+    case Struct("/", Vector(a, b))   => eval(a, s) / divisor(b, s, "/")
+    case Struct("mod", Vector(a, b)) => eval(a, s) % divisor(b, s, "mod")
     case Struct("-", Vector(a))      => -eval(a, s)
     case Struct("min", Vector(a, b)) => math.min(eval(a, s), eval(b, s))
     case Struct("max", Vector(a, b)) => math.max(eval(a, s), eval(b, s))
     case Struct("abs", Vector(a))    => math.abs(eval(a, s))
     case v: Var                      => throw PrologError(s"arguments not sufficiently instantiated: ${v.show}")
     case other                       => throw PrologError(s"not an arithmetic expression: ${other.show}")
+  }
+
+  private def divisor(t: Term, s: Subst, op: String): Long = {
+    val d = eval(t, s)
+    if (d == 0) throw PrologError(s"evaluation error: zero_divisor in $op")
+    d
   }
 }
 

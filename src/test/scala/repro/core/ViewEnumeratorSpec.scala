@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cypher.CypherParser
 import repro.graph.{GraphSchema, SchemaEdge}
+import repro.prolog.Solver
 
 class ViewEnumeratorSpec extends AnyFunSuite {
 
@@ -116,6 +117,38 @@ class ViewEnumeratorSpec extends AnyFunSuite {
     // connector views (§ IV-A2's pruning claim).
     val insts = ViewEnumerator.kHopInstantiations(blastRadius, GraphSchema.provSummarized)
     assert(insts.size == 5)
+  }
+
+  test("solver work for the § IV-B blast-radius enumeration, pinned") {
+    // A count of work, not of time: a rule change that derives the same
+    // solution again moves these numbers. With every existence check read as
+    // call/1 instead of once/1, the same enumeration tries 4,017 clauses.
+    val solver = new Solver(ViewEnumerator.buildDatabase(blastRadius, GraphSchema.provSummarized))
+    ViewEnumerator.enumeration(blastRadius, solver)
+    assert((solver.clausesTried, solver.maxDepthReached) == (994L, 12L))
+  }
+
+  test("enumeration returns the candidates and k-hop instantiations of separate runs") {
+    val e = ViewEnumerator.enumeration(blastRadius, GraphSchema.provSummarized)
+    assert(e.candidates == ViewEnumerator.enumerate(blastRadius, GraphSchema.provSummarized))
+    assert(e.kHops == ViewEnumerator.kHopInstantiations(blastRadius, GraphSchema.provSummarized))
+  }
+
+  test("no query's facts, nor extra facts, reach a later query's database") {
+    val other = CypherParser.parse("MATCH (t:Task)-[r*1..3]->(u:Task) RETURN t, u")
+    val before = ViewEnumerator.enumerate(blastRadius, GraphSchema.provSummarized)
+    val first = new Solver(ViewEnumerator.buildDatabase(other, GraphSchema.provRaw, "property(bytes, t, 10)."))
+    assert(first.succeeds("queryVertex(t)") && first.succeeds("property(bytes, t, 10)"))
+    assert(ViewEnumerator.enumerate(other, GraphSchema.provRaw).nonEmpty)
+
+    val later = ViewEnumerator.buildDatabase(blastRadius, GraphSchema.provSummarized)
+    val s = new Solver(later)
+    assert(!s.succeeds("queryVertex(t)"))
+    assert(!s.succeeds("property(_, _, _)"))
+    assert(!s.succeeds("schemaVertex('Task')"))
+    assert(s.query("queryVertex(X)", "X").map(_("X").show).toSet == Set("q_j1", "q_f1", "q_f2", "q_j2"))
+    assert(later.size == ViewEnumerator.buildDatabase(blastRadius, GraphSchema.provSummarized).size)
+    assert(ViewEnumerator.enumerate(blastRadius, GraphSchema.provSummarized) == before)
   }
 
   test("cypher translation of a 2-hop connector mentions both types") {

@@ -67,6 +67,16 @@ class SolverSpec extends AnyFunSuite {
     assert(family.succeeds("X is min(3, 5), X =:= 3"))
   }
 
+  test("division by zero raises an evaluation error") {
+    val ex = intercept[Solver.PrologError](family.succeeds("X is 1 / 0"))
+    assert(ex.getMessage.contains("evaluation error"))
+  }
+
+  test("mod by zero raises an evaluation error") {
+    val ex = intercept[Solver.PrologError](family.succeeds("X is 7 mod (2 - 2)"))
+    assert(ex.getMessage.contains("evaluation error"))
+  }
+
   test("comparison operators") {
     assert(family.succeeds("1 < 2"))
     assert(!family.succeeds("2 < 1"))
@@ -164,6 +174,42 @@ class SolverSpec extends AnyFunSuite {
     assert(family.succeeds("(2 < 1 -> fail ; true)"))
     val xs = family.query("(member(X,[1,2]) -> Y = X ; Y = none)", "Y").map(_("Y")).toList
     assert(xs == List(Num(1))) // commits to first solution of the condition
+  }
+
+  test("once/1 returns only the first solution") {
+    val kids = family.query("once(parent(tom, X))", "X").map(_("X")).toList
+    assert(kids == List(Atom("bob")))
+  }
+
+  test("once/1 fails when its goal fails") {
+    assert(!family.succeeds("once(parent(jim, _))"))
+    assert(family.query("once(member(X, []))", "X").isEmpty)
+  }
+
+  test("once/1 keeps the bindings of the solution it commits to") {
+    val r = family.query("once(parent(X, Y)), Z = X", "X", "Y", "Z").toList
+    assert(r == List(Map("X" -> Atom("tom"), "Y" -> Atom("bob"), "Z" -> Atom("tom"))))
+  }
+
+  test("once/1 inside negation, findall/3 and call/N") {
+    assert(family.succeeds("\\+ once(parent(jim, _))"))
+    assert(!family.succeeds("\\+ once(parent(tom, _))"))
+    val all = family.query("findall(X, once(parent(tom, X)), L)", "L").head
+    assert(all("L") == Term.mkList(Seq(Atom("bob"))))
+    val perParent = family.query("findall(X, (member(P, [tom, bob]), once(parent(P, X))), L)", "L").head
+    assert(perParent("L") == Term.mkList(Seq(Atom("bob"), Atom("ann"))))
+    assert(family.query("call(once, parent(bob, X))", "X").map(_("X")).toList == List(Atom("ann")))
+    assert(family.query("G = parent(bob), once(call(G, X))", "X").map(_("X")).toList == List(Atom("ann")))
+  }
+
+  test("work counters: clauses tried, deepest goal") {
+    val s = solverWith("p(a). p(b). p(c). q(X) :- p(X).")
+    assert((s.clausesTried, s.maxDepthReached) == (0L, 0L))
+    assert(s.succeeds("q(c)"))
+    // q/1's one clause, then p/1's three facts; p(c) is solved at depth 1.
+    assert((s.clausesTried, s.maxDepthReached) == (4L, 1L))
+    assert(s.succeeds("once(q(a))"))
+    assert((s.clausesTried, s.maxDepthReached) == (6L, 2L))
   }
 
   test("type-check builtins") {
