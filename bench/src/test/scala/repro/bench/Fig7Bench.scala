@@ -51,13 +51,13 @@ class Fig7Bench extends SparkSpec {
   }
 
   test("Fig. 7 shape: per-dataset view-vs-base sizes explain the runtimes") {
-    import repro.engine.GraphOps
+    import repro.core.KHopConnectorView
     import repro.graph.GraphGen
     val prov = GraphGen.provSummarized(spark, 1000).cache()
-    val provView = GraphOps.kHopConnector(prov, 2, "Job", "Job", "X")
+    val provView = KHopConnectorView("Job", "Job", 2).build(prov)
     assert(provView.edgeCount < prov.edgeCount / 3, "prov view should be much smaller")
     val soc = GraphGen.socLivejournal(spark, 2000).cache()
-    val socView = GraphOps.kHopConnector(soc, 2, "Node", "Node", "X")
+    val socView = KHopConnectorView("Node", "Node", 2).build(soc)
     assert(socView.edgeCount > soc.edgeCount, "soc view should exceed the raw graph")
     prov.unpersist(); soc.unpersist()
   }

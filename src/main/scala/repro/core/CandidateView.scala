@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions.col
 import repro.cypher.QueryGraph
 import repro.engine.GraphOps
@@ -69,13 +70,26 @@ object CandidateView {
       .map(e => stats.edgeTypeCounts.getOrElse(e.etype, 0L)).sum.toDouble
 
   private[core] def ids(g: PropertyGraph, vtype: String) = g.verticesOfType(vtype).select(col("id"))
+
+  /** The vertices that pass `keep`, and the edges between them. */
+  private[core] def induced(g: PropertyGraph, keep: Column): PropertyGraph = {
+    val v = g.vertices.filter(keep)
+    val kept = v.select(col("id"))
+    val e = g.edges
+      .join(kept.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
+      .join(kept.withColumnRenamed("id", "dst"), Seq("dst"), "left_semi")
+      .select("src", "dst", "etype", "ts")
+    PropertyGraph(v, e)
+  }
 }
 
 import CandidateView._
 
 /** Contraction of k-hop paths between two vertex types (Table I, row 2;
   * Fig. 3). `label` is the contracted edge type, e.g. `2_HOP_JOB_TO_JOB`
-  * as in the paper's Lst. 4.
+  * as in the paper's Lst. 4. Each (src, dst) pair gets one edge, with `ts`
+  * the max over its contracted walks and `paths` their number; the view's
+  * vertices are those of the endpoint types.
   */
 final case class KHopConnectorView(srcType: String, dstType: String, k: Int) extends CandidateView {
   def label: String = s"${k}_HOP_${srcType.toUpperCase}_TO_${dstType.toUpperCase}"
@@ -88,7 +102,12 @@ final case class KHopConnectorView(srcType: String, dstType: String, k: Int) ext
     ("Table I", if (sameVertexType) "k-hop same-vertex-type connector" else "k-hop connector")
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     SizeEstimator.estimate(stats, schema, k, CostModel.DefaultAlpha)
-  override def build(g: PropertyGraph): PropertyGraph = GraphOps.kHopConnector(g, k, srcType, dstType, label)
+  override def build(g: PropertyGraph): PropertyGraph = {
+    val walks = GraphOps.kHopPaths(g.edges, k)
+      .join(g.verticesOfType(srcType).select(col("id").as("src")), Seq("src"), "left_semi")
+    val viewVertices = g.vertices.filter(col("vtype").isin(Seq(srcType, dstType).distinct: _*))
+    PropertyGraph(viewVertices, GraphOps.contract(walks, ids(g, dstType), label))
+  }
 }
 object KHopConnectorView {
   val template = new Template("kHopConnector(X, Y, XT, YT, K)", (m, _) =>
@@ -115,7 +134,10 @@ object SameVertexTypeConnectorView {
     Some(SameVertexTypeConnectorView(atomName(m("T")))))
 }
 
-/** Source-to-sink connector (Table I, row 4). */
+/** Source-to-sink connector (Table I, row 4): contracts the paths from
+  * `srcType` vertices with no in-edges to `dstType` vertices with no
+  * out-edges, bounded at [[CandidateView.UnboundedPathHops]].
+  */
 final case class SourceToSinkConnectorView(srcType: String, dstType: String) extends CandidateView {
   override def key: String = s"sourceToSinkConnector($srcType,$dstType)"
   override def toCypher: String =
@@ -125,8 +147,12 @@ final case class SourceToSinkConnectorView(srcType: String, dstType: String) ext
   // At most |sources| × |sinks| contracted edges.
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     stats.typeStats(srcType).n.toDouble * math.max(1L, stats.typeStats(dstType).n)
-  override def build(g: PropertyGraph): PropertyGraph =
-    GraphOps.sourceToSinkConnector(g, UnboundedPathHops, "SOURCE_TO_SINK")
+  override def build(g: PropertyGraph): PropertyGraph = {
+    def without(vtype: String, end: String) =
+      ids(g, vtype).join(g.edges.select(col(end).as("id")).distinct(), Seq("id"), "left_anti")
+    GraphOps.pathContraction(g, sources = without(srcType, "dst"), sinks = without(dstType, "src"), g.edges,
+      UnboundedPathHops, "SOURCE_TO_SINK")
+  }
 }
 object SourceToSinkConnectorView {
   val template = new Template("sourceToSinkConnector(X, Y)", (m, q) =>
@@ -162,14 +188,14 @@ final case class VertexInclusionSummarizerView(vtypes: Seq[String]) extends Cand
   override def tableRow: (String, String) = ("Table II", "Vertex-inclusion summarizer")
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     edgesBetween(stats, schema)(vtypes.contains)
-  override def build(g: PropertyGraph): PropertyGraph = GraphOps.vertexInclusionSummarizer(g, vtypes)
+  override def build(g: PropertyGraph): PropertyGraph = induced(g, col("vtype").isin(vtypes: _*))
 }
 object VertexInclusionSummarizerView {
   val template = new Template("summarizerVertexInclusion(TS)", (m, _) =>
     Term.asListOption(m("TS")).map(ts => VertexInclusionSummarizerView(ts.map(atomName))))
 }
 
-/** Keep only the listed edge types (Table II, row 4). */
+/** Keep only the listed edge types, and every vertex (Table II, row 4). */
 final case class EdgeInclusionSummarizerView(etypes: Seq[String]) extends CandidateView {
   override def key: String = s"summarizerEdgeInclusion(${etypes.sorted.mkString(",")})"
   override def toCypher: String =
@@ -177,7 +203,8 @@ final case class EdgeInclusionSummarizerView(etypes: Seq[String]) extends Candid
   override def tableRow: (String, String) = ("Table II", "Edge-inclusion summarizer")
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     etypes.map(e => stats.edgeTypeCounts.getOrElse(e, 0L)).sum.toDouble
-  override def build(g: PropertyGraph): PropertyGraph = GraphOps.edgeInclusionSummarizer(g, etypes)
+  override def build(g: PropertyGraph): PropertyGraph =
+    PropertyGraph(g.vertices, g.edges.filter(col("etype").isin(etypes: _*)))
 }
 object EdgeInclusionSummarizerView {
   val template = new Template("summarizerEdgeInclusion(ES)", (m, _) =>
@@ -191,7 +218,7 @@ final case class VertexRemovalSummarizerView(vtype: String) extends CandidateVie
   override def tableRow: (String, String) = ("Table II", "Vertex-removal summarizer")
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     edgesBetween(stats, schema)(_ != vtype)
-  override def build(g: PropertyGraph): PropertyGraph = GraphOps.vertexRemovalSummarizer(g, Seq(vtype))
+  override def build(g: PropertyGraph): PropertyGraph = induced(g, col("vtype") =!= vtype)
 }
 object VertexRemovalSummarizerView {
   val template = new Template("summarizerRemoveVertices(T)", (m, _) =>
@@ -205,7 +232,8 @@ final case class EdgeRemovalSummarizerView(etype: String) extends CandidateView 
   override def tableRow: (String, String) = ("Table II", "Edge-removal summarizer")
   override def estimatedSize(stats: GraphStats, schema: GraphSchema): Double =
     (stats.edgeCount - stats.edgeTypeCounts.getOrElse(etype, 0L)).toDouble
-  override def build(g: PropertyGraph): PropertyGraph = GraphOps.edgeRemovalSummarizer(g, Seq(etype))
+  override def build(g: PropertyGraph): PropertyGraph =
+    PropertyGraph(g.vertices, g.edges.filter(col("etype") =!= etype))
 }
 object EdgeRemovalSummarizerView {
   val template = new Template("summarizerRemoveEdges(E)", (m, _) =>

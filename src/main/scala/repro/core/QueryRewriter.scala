@@ -34,25 +34,16 @@ object QueryRewriter {
     * equivalent (Halevy, VLDB J. 2001): the lengths derived for `q` between
     * those types are exactly {k·j : kMin/k ≤ j ≤ kMax/k}. No length past
     * [[ViewEnumerator.MaxConnectorHops]] is derived, so a query whose hop
-    * budget passes it gets no rewriting.
+    * budget passes it gets no rewriting. `insts` are the k-hop
+    * instantiations derived for `q` ([[ViewEnumerator.kHopInstantiations]]).
     */
-  def rewritings(
-      q: QueryGraph,
-      schema: GraphSchema,
-      stats: GraphStats,
-      materialized: Seq[CandidateView],
-      materializedSizes: Map[String, Long] = Map.empty,
-  ): Seq[Rewriting] =
-    rewritings(q, ViewEnumerator.kHopInstantiations(q, schema), schema, stats, materialized, materializedSizes)
-
-  /** [[rewritings]] from the k-hop instantiations already derived for `q`. */
   def rewritings(
       q: QueryGraph,
       insts: Seq[ViewEnumerator.KHopInstantiation],
       schema: GraphSchema,
       stats: GraphStats,
       materialized: Seq[CandidateView],
-      materializedSizes: Map[String, Long],
+      materializedSizes: Map[String, Long] = Map.empty,
   ): Seq[Rewriting] = {
     val costRaw = CostModel.queryCostOnRaw(q, stats)
     val allLengths = CostModel.hopBudget(q) <= ViewEnumerator.MaxConnectorHops
@@ -71,7 +62,8 @@ object QueryRewriter {
   }
 
   /** The best rewriting (lowest estimated cost), if any view applies and
-    * actually improves on the raw plan.
+    * actually improves on the raw plan. Derives `q`'s k-hop instantiations
+    * on every call.
     */
   def rewrite(
       q: QueryGraph,
@@ -80,7 +72,7 @@ object QueryRewriter {
       materialized: Seq[CandidateView],
       materializedSizes: Map[String, Long] = Map.empty,
   ): Option[Rewriting] =
-    rewritings(q, schema, stats, materialized, materializedSizes)
+    rewritings(q, ViewEnumerator.kHopInstantiations(q, schema), schema, stats, materialized, materializedSizes)
       .filter(r => r.costRewritten <= r.costOriginal)
       .minByOption(_.costRewritten)
 }

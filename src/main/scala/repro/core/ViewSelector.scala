@@ -59,7 +59,7 @@ object ViewSelector {
       .groupBy(_.key).map(_._2.head).toSeq.sortBy(_.key)
     val improvements = enumerations.zip(weights)
       .flatMap { case (e, w) =>
-        QueryRewriter.rewritings(e.query, e.kHops, schema, stats, candidates, Map.empty)
+        QueryRewriter.rewritings(e.query, e.kHops, schema, stats, candidates)
           .map(r => r.view.key -> w * r.estimatedSpeedup)
       }
       .groupMapReduce(_._1)(_._2)(_ + _)

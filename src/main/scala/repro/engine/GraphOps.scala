@@ -1,13 +1,14 @@
 package repro.engine
 
-import org.apache.spark.sql.{Column, DataFrame, Observation}
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.functions._
 import scala.annotation.tailrec
 import repro.graph.PropertyGraph
 
-/** Graph-view primitives on DataFrames: summarizers (filters) and connectors
-  * (path contractions), plus path counting and bounded traversal (the
-  * building blocks of the paper's § III-C / § VI view classes).
+/** The traversal primitives on DataFrames: the semi-naive frontier step,
+  * bounded reachability, k-hop walks, path contraction and path counting.
+  * Queries run on them, and each view type's build in `repro.core.CandidateView`
+  * (the paper's § III-C / § VI view classes) composes them.
   *
   * Connector edges carry `ts` = max timestamp along the contracted path and
   * `paths` = path multiplicity; `ts` composes under further traversal, which
@@ -15,46 +16,13 @@ import repro.graph.PropertyGraph
   */
 object GraphOps {
 
-  /** Vertex-inclusion summarizer: keep vertices of `keepTypes` and edges with
-    * both endpoints kept (Table II, row 3).
-    */
-  def vertexInclusionSummarizer(g: PropertyGraph, keepTypes: Seq[String]): PropertyGraph =
-    induced(g, col("vtype").isin(keepTypes: _*))
-
-  /** Vertex-removal summarizer: drop vertices of `removeTypes` and their
-    * incident edges (Table II, row 1).
-    */
-  def vertexRemovalSummarizer(g: PropertyGraph, removeTypes: Seq[String]): PropertyGraph =
-    induced(g, !col("vtype").isin(removeTypes: _*))
-
-  /** The vertices that pass `keep`, and the edges between them. */
-  private def induced(g: PropertyGraph, keep: Column): PropertyGraph = {
-    val v = g.vertices.filter(keep)
-    val ids = v.select(col("id"))
-    val e = g.edges
-      .join(ids.withColumnRenamed("id", "src"), Seq("src"), "left_semi")
-      .join(ids.withColumnRenamed("id", "dst"), Seq("dst"), "left_semi")
-      .select("src", "dst", "etype", "ts")
-    PropertyGraph(v, e)
-  }
-
-  /** Edge-inclusion summarizer: keep only edges of `keepEtypes` (vertices are
-    * preserved; Table II, row 4).
-    */
-  def edgeInclusionSummarizer(g: PropertyGraph, keepEtypes: Seq[String]): PropertyGraph =
-    PropertyGraph(g.vertices, g.edges.filter(col("etype").isin(keepEtypes: _*)))
-
-  /** Edge-removal summarizer (Table II, row 2). */
-  def edgeRemovalSummarizer(g: PropertyGraph, removeEtypes: Seq[String]): PropertyGraph =
-    PropertyGraph(g.vertices, g.edges.filter(!col("etype").isin(removeEtypes: _*)))
-
   /** The endpoints of the walks of k edges, self-loops excluded: rows
     * `(src, cur, ts, paths)`, where `paths` counts the walks a row stands
     * for and `ts` is the max timestamp along them. Rows are summed per
     * (src, cur) before every join after the first, so the work grows with
     * vertex pairs, not with walks; the caller sums the last join's rows.
     */
-  private def kHopPaths(edges: DataFrame, k: Int): DataFrame = {
+  private[repro] def kHopPaths(edges: DataFrame, k: Int): DataFrame = {
     require(k >= 1, "k must be positive")
     val e = edges.filter(col("src") =!= col("dst"))
     val walks = e.select(col("src"), col("dst").as("cur"), col("ts"), lit(1L).as("paths"))
@@ -85,36 +53,6 @@ object GraphOps {
     } else kHopPaths(g.edges, k).filter(col("src") =!= col("cur"))
       .agg(coalesce(sum(col("paths")), lit(0L))).collect()(0).getLong(0)
 
-  /** Materialize a k-hop connector view between `srcType` and `dstType`
-    * vertices (Table I). Edges are deduplicated per (src, dst) pair with
-    * `ts` = max over contracted paths and `paths` = multiplicity; the view's
-    * vertex set is the vertices of the endpoint types.
-    *
-    * `label` becomes the view's edge type, e.g. `2_HOP_JOB_TO_JOB` (Lst. 4).
-    */
-  def kHopConnector(
-      g: PropertyGraph,
-      k: Int,
-      srcType: String,
-      dstType: String,
-      label: String,
-  ): PropertyGraph = {
-    val walks = kHopPaths(g.edges, k)
-      .join(g.verticesOfType(srcType).select(col("id").as("src")), Seq("src"), "left_semi")
-    val viewVertices = g.vertices.filter(col("vtype").isin(Seq(srcType, dstType).distinct: _*))
-    PropertyGraph(viewVertices, contract(walks, g.verticesOfType(dstType).select(col("id")), label))
-  }
-
-  /** Source-to-sink connector (Table I, row 4): contracts full paths between
-    * vertices with no incoming edges and vertices with no outgoing edges,
-    * bounded at `maxHops` (termination bound for cyclic inputs).
-    */
-  def sourceToSinkConnector(g: PropertyGraph, maxHops: Int, label: String): PropertyGraph = {
-    def without(end: String) =
-      g.vertices.join(g.edges.select(col(end).as("id")).distinct(), Seq("id"), "left_anti").select(col("id"))
-    pathContraction(g, sources = without("dst"), sinks = without("src"), g.edges, maxHops, label)
-  }
-
   /** Bounded path contraction, the connector of Table I rows 1, 3 and 4: one
     * `label` edge per (source, sink) pair of distinct vertices joined by a
     * walk of 1..`maxHops` `edges`, with `ts` = max timestamp over the walks
@@ -133,7 +71,7 @@ object GraphOps {
   /** One `label` edge per pair of distinct vertices that `walks` rows join,
     * ending at a `sinks` id: max `ts`, summed `paths`.
     */
-  private def contract(walks: DataFrame, sinks: DataFrame, label: String): DataFrame =
+  private[repro] def contract(walks: DataFrame, sinks: DataFrame, label: String): DataFrame =
     walks
       .join(sinks.withColumnRenamed("id", "cur"), Seq("cur"), "left_semi")
       .filter(col("src") =!= col("cur"))

@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.engine.GraphOps
+import repro.core.{KHopConnectorView, VertexInclusionSummarizerView}
 import repro.graph.{GraphGen, PropertyGraph}
 
 /** Reproduction of Fig. 6 (as a table): effective graph size (vertices +
@@ -19,11 +19,10 @@ object Fig6 {
       raw: PropertyGraph,
       keepTypes: Seq[String],
       connectorType: String,
-      label: String,
   ): Seq[Row] = {
     val cachedRaw = raw.cache()
-    val summarized = GraphOps.vertexInclusionSummarizer(cachedRaw, keepTypes).cache()
-    val connector = GraphOps.kHopConnector(summarized, 2, connectorType, connectorType, label).cache()
+    val summarized = VertexInclusionSummarizerView(keepTypes).build(cachedRaw).cache()
+    val connector = KHopConnectorView(connectorType, connectorType, 2).build(summarized).cache()
     val rows = Seq(
       Row(name, "raw", cachedRaw.vertexCount, cachedRaw.edgeCount),
       Row(name, "summarizer", summarized.vertexCount, summarized.edgeCount),
@@ -44,11 +43,10 @@ object Fig6 {
     stages("prov",
       GraphGen.provRaw(spark, provJobs, tasksPerJob = provTasksPerJob,
         fanOut = 24, readers = 4, crossFrac = 0.02),
-      keepTypes = Seq("Job", "File"), connectorType = "Job", label = "2_HOP_JOB_TO_JOB") ++
+      keepTypes = Seq("Job", "File"), connectorType = "Job") ++
       stages("dblp",
         GraphGen.dblp(spark, dblpAuthors, includeVenues = true),
-        keepTypes = Seq("Author", "Publication"), connectorType = "Author",
-        label = "2_HOP_AUTHOR_TO_AUTHOR")
+        keepTypes = Seq("Author", "Publication"), connectorType = "Author")
 
   def format(rows: Seq[Row]): String = {
     import ExperimentUtil._

@@ -12,11 +12,14 @@ import repro.graph.{GraphGen, PropertyGraph}
   * half the hops, LPA runs half the passes, and Q5/Q6 are unmodified counts
   * over the graph at hand. The base graph and the view share one layout,
   * one partition per core (`PropertyGraph.compact`), so the ratio measures
-  * the view and not a cheaper layout that only the view gets.
+  * the view and not a cheaper layout that only the view gets. Each row also
+  * keeps the row counts of both plans, which Table IV reports.
   */
 object Fig7 {
 
-  final case class Row(dataset: String, query: String, baseMs: Double, viewMs: Double) {
+  /** One query's runtimes and the row counts its two plans return. */
+  final case class Row(
+      dataset: String, query: String, baseMs: Double, viewMs: Double, baseRows: Long, viewRows: Long) {
     def speedup: Double = if (viewMs <= 0) 0 else baseMs / viewMs
   }
 
@@ -48,9 +51,9 @@ object Fig7 {
       .agg(min(col("id"))).collect()(0).getLong(0)
 
     def both(q: String)(onBase: => Long)(onView: => Long): Row = {
-      val (_, tBase) = timeMs(runs = runs)(onBase)
-      val (_, tView) = timeMs(runs = runs)(onView)
-      Row(spec.name, q, tBase, tView)
+      val (nBase, tBase) = timeMs(runs = runs)(onBase)
+      val (nView, tView) = timeMs(runs = runs)(onView)
+      Row(spec.name, q, tBase, tView, nBase, nView)
     }
 
     val r1 = both("Q1 blast radius") {

@@ -45,9 +45,6 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
 
 object PropertyGraph {
 
-  /** Standard vertex column set, for generators. */
-  val vertexCols: Seq[String] = Seq("id", "vtype", "cpu", "grp")
-
   /** Standard edge column set, for generators. */
   val edgeCols: Seq[String] = Seq("src", "dst", "etype", "ts")
 

@@ -16,15 +16,10 @@ final class Database {
   /** Parse and load a program (facts and rules) into the database. */
   def consult(program: String): Unit = Parser.parseProgram(program).foreach(add)
 
-  /** Assert a single fact/rule given as source text. */
-  def assertz(clause: String): Unit = consult(if (clause.trim.endsWith(".")) clause else clause + ".")
-
   def clausesFor(functor: String, arity: Int): Vector[Clause] =
     store.getOrElse((functor, arity), Vector.empty)
 
   def contains(functor: String, arity: Int): Boolean = store.contains((functor, arity))
-
-  def predicates: Seq[(String, Int)] = store.keys.toSeq
 
   def size: Int = store.valuesIterator.map(_.size).sum
 

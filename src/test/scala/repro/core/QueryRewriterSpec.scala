@@ -105,7 +105,7 @@ class QueryRewriterSpec extends AnyFunSuite {
         KHopConnectorView("Node", "Node", 1), None),
     ))
     test(s"equivalent rewritings only: $name") {
-      val rw = QueryRewriter.rewritings(q, sch, st, Seq(view))
+      val rw = QueryRewriter.rewritings(q, ViewEnumerator.kHopInstantiations(q, sch), sch, st, Seq(view))
       assert(rw.map(r => (r.hopsLo, r.hopsHi)) == hops.toSeq)
     }
 }

@@ -135,7 +135,9 @@ class ViewSelectorSpec extends AnyFunSuite {
       val stats = uniformStats(s)
       val selected = ViewSelector.select(workload, s, stats, 10_000_000L).map(_.view)
       assert(selected.nonEmpty, s.vertexTypes)
-      val read = workload.flatMap(q => QueryRewriter.rewritings(q, s, stats, selected).map(_.view)).toSet[CandidateView]
+      val read = workload.flatMap(q =>
+        QueryRewriter.rewritings(q, ViewEnumerator.kHopInstantiations(q, s), s, stats, selected).map(_.view))
+        .toSet[CandidateView]
       assert(selected.filterNot(read) == Nil, s.vertexTypes)
     }
   }

@@ -4,6 +4,8 @@ import org.apache.spark.JobCount
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{Oracle, PropSampling, SparkSpec, TraversalOracle}
+import repro.core.{EdgeInclusionSummarizerView, EdgeRemovalSummarizerView, KHopConnectorView,
+  SourceToSinkConnectorView, VertexInclusionSummarizerView, VertexRemovalSummarizerView}
 import repro.graph.{GraphGen, PropertyGraph}
 
 class GraphOpsSpec extends SparkSpec {
@@ -13,8 +15,8 @@ class GraphOpsSpec extends SparkSpec {
   // ---- summarizers ---------------------------------------------------------
 
   test("vertex-inclusion summarizer keeps only requested types (oracle)") {
-    val summ = GraphOps.vertexInclusionSummarizer(
-      GraphGen.provRaw(spark, nJobs = 16, tasksPerJob = 5, nMachines = 3), Seq("Job", "File"))
+    val summ = VertexInclusionSummarizerView(Seq("Job", "File"))
+      .build(GraphGen.provRaw(spark, nJobs = 16, tasksPerJob = 5, nMachines = 3))
     Oracle.assertEquivalent(
       summ.vertices.select("id", "vtype"),
       "SELECT id AS id, vtype AS vtype FROM v WHERE vtype IN ('Job','File')",
@@ -24,7 +26,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("vertex-inclusion summarizer keeps only induced edges (oracle)") {
     val raw = GraphGen.provRaw(spark, nJobs = 16, tasksPerJob = 5, nMachines = 3)
-    val summ = GraphOps.vertexInclusionSummarizer(raw, Seq("Job", "File"))
+    val summ = VertexInclusionSummarizerView(Seq("Job", "File")).build(raw)
     Oracle.assertEquivalent(
       summ.edges,
       """SELECT e.src AS src, e.dst AS dst, e.etype AS etype, e.ts AS ts
@@ -35,15 +37,15 @@ class GraphOpsSpec extends SparkSpec {
 
   test("vertex-removal summarizer equals inclusion of the complement") {
     val raw = GraphGen.provRaw(spark, nJobs = 16, tasksPerJob = 5, nMachines = 3)
-    val removed = GraphOps.vertexRemovalSummarizer(raw, Seq("Task", "Machine"))
-    val included = GraphOps.vertexInclusionSummarizer(raw, Seq("Job", "File"))
+    val removed = VertexRemovalSummarizerView("Machine").build(VertexRemovalSummarizerView("Task").build(raw))
+    val included = VertexInclusionSummarizerView(Seq("Job", "File")).build(raw)
     assert(removed.vertices.exceptAll(included.vertices).count() == 0)
     assert(included.vertices.exceptAll(removed.vertices).count() == 0)
     assert(removed.edges.exceptAll(included.edges).count() == 0)
   }
 
   test("edge-inclusion summarizer filters by edge type (oracle)") {
-    val view = GraphOps.edgeInclusionSummarizer(prov, Seq("WRITES_TO"))
+    val view = EdgeInclusionSummarizerView(Seq("WRITES_TO")).build(prov)
     Oracle.assertEquivalent(
       view.edges,
       "SELECT src AS src, dst AS dst, etype AS etype, ts AS ts FROM e WHERE etype = 'WRITES_TO'",
@@ -51,15 +53,15 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("edge-removal summarizer is the complement of inclusion") {
-    val removed = GraphOps.edgeRemovalSummarizer(prov, Seq("WRITES_TO"))
-    val included = GraphOps.edgeInclusionSummarizer(prov, Seq("IS_READ_BY"))
+    val removed = EdgeRemovalSummarizerView("WRITES_TO").build(prov)
+    val included = EdgeInclusionSummarizerView(Seq("IS_READ_BY")).build(prov)
     assert(removed.edges.exceptAll(included.edges).count() == 0)
     assert(included.edges.exceptAll(removed.edges).count() == 0)
   }
 
   test("summarizing the raw prov graph yields the summarized generator output") {
     val raw = GraphGen.provRaw(spark, nJobs = 24, tasksPerJob = 6, nMachines = 3)
-    val summ = GraphOps.vertexInclusionSummarizer(raw, Seq("Job", "File"))
+    val summ = VertexInclusionSummarizerView(Seq("Job", "File")).build(raw)
     val direct = GraphGen.provSummarized(spark, nJobs = 24)
     assert(summ.edges.exceptAll(direct.edges).count() == 0)
     assert(direct.edges.exceptAll(summ.edges).count() == 0)
@@ -68,7 +70,7 @@ class GraphOpsSpec extends SparkSpec {
   // ---- connectors ----------------------------------------------------------
 
   test("2-hop job-to-job connector equals the SQL self-join (oracle)") {
-    val view = GraphOps.kHopConnector(prov, 2, "Job", "Job", "2_HOP_JOB_TO_JOB")
+    val view = KHopConnectorView("Job", "Job", 2).build(prov)
     Oracle.assertEquivalent(
       view.edges.select("src", "dst", "ts", "paths"),
       """SELECT a.src AS src, b.dst AS dst,
@@ -84,21 +86,21 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("connector view vertices are the endpoint-type vertices") {
-    val view = GraphOps.kHopConnector(prov, 2, "Job", "Job", "J2J")
+    val view = KHopConnectorView("Job", "Job", 2).build(prov)
     val types = view.vertices.select("vtype").distinct().collect().map(_.getString(0)).toSet
     assert(types == Set("Job"))
     assert(view.vertices.count() == prov.verticesOfType("Job").count())
   }
 
   test("connector edges carry the requested label") {
-    val view = GraphOps.kHopConnector(prov, 2, "Job", "Job", "2_HOP_JOB_TO_JOB")
+    val view = KHopConnectorView("Job", "Job", 2).build(prov)
     val labels = view.edges.select("etype").distinct().collect().map(_.getString(0)).toSet
     assert(labels == Set("2_HOP_JOB_TO_JOB"))
   }
 
   test("file-to-file 2-hop connector exists and differs from job-to-job (Fig. 3)") {
-    val j2j = GraphOps.kHopConnector(prov, 2, "Job", "Job", "J2J")
-    val f2f = GraphOps.kHopConnector(prov, 2, "File", "File", "F2F")
+    val j2j = KHopConnectorView("Job", "Job", 2).build(prov)
+    val f2f = KHopConnectorView("File", "File", 2).build(prov)
     assert(j2j.edges.count() > 0)
     assert(f2f.edges.count() > 0)
     // Disjoint endpoint id spaces.
@@ -107,9 +109,9 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("4-hop job-to-job connector pairs equal two chained 2-hop connector hops") {
-    val c2 = GraphOps.kHopConnector(prov, 2, "Job", "Job", "J2J").edges
+    val c2 = KHopConnectorView("Job", "Job", 2).build(prov).edges
       .select(col("src"), col("dst")).cache()
-    val c4 = GraphOps.kHopConnector(prov, 4, "Job", "Job", "J4J").edges
+    val c4 = KHopConnectorView("Job", "Job", 4).build(prov).edges
       .select(col("src"), col("dst"))
     val chained = c2.join(c2.select(col("src").as("mid"), col("dst").as("d2")),
         col("dst") === col("mid"))
@@ -139,7 +141,7 @@ class GraphOpsSpec extends SparkSpec {
       vertices = Seq((1L, "Job", 1.0, "p"), (2L, "Job", 1.0, "p"), (3L, "Job", 1.0, "p"),
         (10L, "File", 0.0, "s"), (11L, "File", 0.0, "s")),
       edges = Seq((1L, 10L, "W", 5L), (10L, 2L, "R", 7L), (2L, 11L, "W", 9L), (11L, 3L, "R", 4L)))
-    val view = GraphOps.kHopConnector(g, 2, "Job", "Job", "J2J")
+    val view = KHopConnectorView("Job", "Job", 2).build(g)
     val rows = view.edges.select("src", "dst", "ts", "paths").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSet
     assert(rows == Set((1L, 2L, 7L, 1L), (2L, 3L, 9L, 1L)))
@@ -153,7 +155,7 @@ class GraphOpsSpec extends SparkSpec {
         (10L, "File", 0.0, "s"), (11L, "File", 0.0, "s")),
       edges = Seq((1L, 10L, "W", 1L), (10L, 2L, "R", 2L),
         (1L, 11L, "W", 3L), (11L, 2L, "R", 8L)))
-    val rows = GraphOps.kHopConnector(g, 2, "Job", "Job", "J2J")
+    val rows = KHopConnectorView("Job", "Job", 2).build(g)
       .edges.select("src", "dst", "ts", "paths").collect()
     assert(rows.length == 1)
     assert(rows(0).getLong(2) == 8L) // max ts across both paths
@@ -184,7 +186,7 @@ class GraphOpsSpec extends SparkSpec {
       edges = edges)
     for (k <- 3 to 4) {
       val reference = walkReference(edges, k)
-      val rows = GraphOps.kHopConnector(g, k, "Job", "Job", "JJ").edges.select("src", "dst", "ts", "paths")
+      val rows = KHopConnectorView("Job", "Job", k).build(g).edges.select("src", "dst", "ts", "paths")
         .collect().map(r => (r.getLong(0), r.getLong(1)) -> (r.getLong(2), r.getLong(3))).toMap
       assert(rows == reference.filter { case ((s, d), _) => s < 10 && d < 10 }, s"k=$k")
       assert(GraphOps.countKHopPaths(g, k) == reference.values.map(_._2).sum, s"k=$k")
@@ -193,7 +195,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("10-hop job-to-job connector builds on a 32-job pipeline") {
     val g = GraphGen.provSummarized(spark, nJobs = 32)
-    val view = GraphOps.kHopConnector(g, 10, "Job", "Job", "10_HOP_JOB_TO_JOB")
+    val view = KHopConnectorView("Job", "Job", 10).build(g)
     assert(view.edges.agg(min("paths")).collect()(0).getLong(0) >= 1)
   }
 
@@ -205,12 +207,26 @@ class GraphOpsSpec extends SparkSpec {
       spark,
       vertices = (1L to 4L).map(i => (i, "Node", 0.0, "g")),
       edges = Seq((1L, 2L, "E", 1L), (2L, 4L, "E", 2L), (1L, 3L, "E", 3L), (3L, 4L, "E", 4L)))
-    val view = GraphOps.sourceToSinkConnector(g, maxHops = 8, label = "S2S")
+    val view = SourceToSinkConnectorView("Node", "Node").build(g)
     val rows = view.edges.select("src", "dst", "paths").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
     assert(rows.toSet == Set((1L, 4L, 2L))) // two contracted paths, one pair
     val vs = view.vertices.select("id").collect().map(_.getLong(0)).toSet
     assert(vs == Set(1L, 4L))
+  }
+
+  test("source-to-sink connector contracts only its source and sink types") {
+    // Job 1 writes file 10, which nothing reads, and file 11, which job 2
+    // reads: 1 is the only source; file 10 and job 2 are the sinks.
+    val g = PropertyGraph.of(
+      spark,
+      vertices = Seq((1L, "Job", 1.0, "p"), (2L, "Job", 1.0, "p"),
+        (10L, "File", 0.0, "s"), (11L, "File", 0.0, "s")),
+      edges = Seq((1L, 10L, "W", 1L), (1L, 11L, "W", 2L), (11L, 2L, "R", 3L)))
+    val view = SourceToSinkConnectorView("Job", "Job").build(g)
+    val pairs = view.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(pairs == Set((1L, 2L)))
+    assert(view.vertices.select("id").collect().map(_.getLong(0)).toSet == Set(1L, 2L))
   }
 
   // ---- reachability --------------------------------------------------------

@@ -2,6 +2,7 @@ package repro.engine
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.core.KHopConnectorView
 import repro.graph.{GraphGen, PropertyGraph}
 
 /** Q1–Q8 (Table IV): correctness against the DuckDB oracle and, crucially,
@@ -11,7 +12,7 @@ import repro.graph.{GraphGen, PropertyGraph}
 class QueriesSpec extends SparkSpec {
 
   private lazy val prov = GraphGen.provSummarized(spark, nJobs = 48).cache()
-  private lazy val view = GraphOps.kHopConnector(prov, 2, "Job", "Job", "2_HOP_JOB_TO_JOB").cache()
+  private lazy val view = KHopConnectorView("Job", "Job", 2).build(prov).cache()
 
   // ---- Q1 ------------------------------------------------------------------
 
