@@ -11,6 +11,7 @@ sealed trait Term {
   /** Pretty-print in standard Prolog surface syntax. */
   def show: String = this match {
     case Var(n)        => n
+    case r: Ref        => r.name
     case Atom(n)       => if (Term.isPlainAtom(n)) n else s"'${n.replace("'", "\\'")}'"
     case Num(v)        => v.toString
     case s @ Struct(f, args) =>
@@ -24,7 +25,7 @@ sealed trait Term {
   }
 }
 
-/** Logic variable. Names beginning with `_G` are reserved for fresh renames. */
+/** Logic variable, as written in source text and in the solver's answers. */
 final case class Var(name: String) extends Term
 
 /** Constant symbol, e.g. `'Job'` or `schemaEdge`. */
@@ -32,6 +33,16 @@ final case class Atom(name: String) extends Term
 
 /** Integer constant (the paper's rules only need integer arithmetic). */
 final case class Num(value: Long) extends Term
+
+/** A solver variable: a cell that a derivation binds at most once and that
+  * backtracking unbinds again. Unbound, it prints and sorts as `name`: the
+  * goal variable's own name, or `_G<id>` for a variable the solver made.
+  * Terms the solver returns hold [[Var]]s instead.
+  */
+private[prolog] final class Ref(id: Long, label: String = null) extends Term {
+  var value: Term = null
+  def name: String = if (label != null) label else s"_G$id"
+}
 
 /** Compound term `functor(args...)`. Lists are `Struct(".", Vector(h, t))`. */
 final case class Struct(functor: String, args: Vector[Term]) extends Term {
@@ -80,34 +91,4 @@ final case class Clause(head: Struct, body: List[Term]) {
   def show: String =
     if (body.isEmpty) s"${head.show}."
     else s"${head.show} :- ${body.map(_.show).mkString(", ")}."
-}
-
-/** An idempotent substitution: variable name -> term binding. */
-final case class Subst(bindings: Map[String, Term]) {
-
-  /** Follow variable bindings one step at the root. */
-  @annotation.tailrec
-  def walk(t: Term): Term = t match {
-    case Var(n) =>
-      bindings.get(n) match {
-        case Some(b) => walk(b)
-        case None    => t
-      }
-    case _ => t
-  }
-
-  /** Fully resolve a term: substitute bindings recursively. */
-  def resolve(t: Term): Term = walk(t) match {
-    case s @ Struct(f, as) =>
-      val rs = as.map(resolve)
-      // Avoid reallocating when nothing changed (deep terms are common here).
-      if (rs.indices.forall(i => rs(i) eq as(i))) s else Struct(f, rs)
-    case other => other
-  }
-
-  def bind(name: String, t: Term): Subst = Subst(bindings + (name -> t))
-}
-
-object Subst {
-  val empty: Subst = Subst(Map.empty)
 }

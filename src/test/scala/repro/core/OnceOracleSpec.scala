@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSampling
 import repro.cypher.{CypherParser, QueryGraph}
 import repro.graph.{GraphSchema, GraphStats, TypeStats}
-import repro.prolog.{Database, Solver}
+import repro.prolog.{Database, ReferenceSolver, Solver}
 
 /** The view templates wrap their bound existence checks in `once/1`. The
   * oracle is the same library with every `once(` read as `call(`, which keeps
@@ -79,6 +79,22 @@ class OnceOracleSpec extends AnyFunSuite with PropSampling {
       assert(chosen(withOnce) == chosen(withCall), workload)
       assert(ViewSelector.select(workload, schema, stats, 7L * stats.edgeCount).map(_.view.key) ==
         chosen(withCall).map(_._1), workload)
+    }
+  }
+
+  test("the solver gives the reference solver's answers, in order, and its work counts") {
+    forAll(workloads) { case (schema, workload) =>
+      workload.foreach { q =>
+        val db = ViewEnumerator.buildDatabase(q, schema)
+        val solver = new Solver(db)
+        val reference = new ReferenceSolver(db)
+        CandidateView.templates.foreach { t =>
+          val expected = ReferenceSolver.onDeepStack(reference.query(t.goal).toList)
+          assert(solver.query(t.goal).toList == expected, (q, t.goal))
+          assert((solver.clausesTried, solver.maxDepthReached) == (reference.clausesTried, reference.maxDepthReached),
+            (q, t.goal))
+        }
+      }
     }
   }
 }

@@ -126,6 +126,9 @@ class ViewEnumeratorSpec extends AnyFunSuite {
     val solver = new Solver(ViewEnumerator.buildDatabase(blastRadius, GraphSchema.provSummarized))
     ViewEnumerator.enumeration(blastRadius, solver)
     assert((solver.clausesTried, solver.maxDepthReached) == (994L, 12L))
+    // Backtracks: the next clause after a head that does not unify, or a
+    // clause or between/3 choicepoint resumed after a later goal failed.
+    assert(solver.backtracks == 585L)
   }
 
   test("enumeration returns the candidates and k-hop instantiations of separate runs") {

@@ -1,10 +1,49 @@
 package repro.prolog
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.{Success, Try}
 
 class SolverSpec extends AnyFunSuite {
 
-  private def solverWith(program: String): Solver = {
+  /** A solver over `program`. Each goal is also run, on the side, by a second
+    * [[Solver]] and by the [[ReferenceSolver]] over the same database: both
+    * must give the same answers in the same order (up to [[AnswersCompared]]),
+    * or the same error, and the same work counts.
+    */
+  private final class Checked(program: String) {
+    private val db = Database.withPrelude()
+    db.consult(program)
+    private val solver = new Solver(db)
+    private val engine = new Solver(db)
+    private val reference = new ReferenceSolver(db)
+
+    private def compare(goal: String, vars: Seq[String]): Unit = {
+      def answers(q: => LazyList[Map[String, Term]]) = Try(q.take(AnswersCompared).toList)
+      val expected = ReferenceSolver.onDeepStack(answers(reference.query(goal, vars: _*)))
+      assert(answers(engine.query(goal, vars: _*)) == expected, goal)
+      assert((engine.clausesTried, engine.maxDepthReached) == (reference.clausesTried, reference.maxDepthReached), goal)
+    }
+
+    def query(goal: String, vars: String*): LazyList[Map[String, Term]] = {
+      compare(goal, vars)
+      solver.query(goal, vars: _*)
+    }
+
+    def succeeds(goal: String): Boolean = {
+      compare(goal, Nil)
+      solver.succeeds(goal)
+    }
+
+    def clausesTried: Long = solver.clausesTried
+    def maxDepthReached: Long = solver.maxDepthReached
+    def backtracks: Long = solver.backtracks
+  }
+
+  private val AnswersCompared = 50
+
+  private def solverWith(program: String): Checked = new Checked(program)
+
+  private def plainSolver(program: String): Solver = {
     val db = Database.withPrelude()
     db.consult(program)
     new Solver(db)
@@ -212,6 +251,23 @@ class SolverSpec extends AnyFunSuite {
     assert((s.clausesTried, s.maxDepthReached) == (6L, 2L))
   }
 
+  test("backtracks count the choicepoints resumed") {
+    val s = solverWith("p(a). p(b). p(c). q(X) :- p(X), X == b.")
+    assert(s.backtracks == 0L)
+    // p(X) binds a, fails X == b, resumes p/1 once and binds b.
+    assert(s.succeeds("q(Y)"))
+    assert(s.backtracks == 1L)
+    // A head that fails to unify counts as one more: p(c) skips p(a) and p(b).
+    assert(s.succeeds("p(c)"))
+    assert(s.backtracks == 3L)
+    // Each disjunct and between/3 value after the first is one resumption.
+    assert(s.query("(X = 1 ; X = 2), between(1, 3, Y)", "X", "Y").size == 6)
+    assert(s.backtracks == 8L)
+    // once/1 drops the choicepoints it leaves instead of resuming them.
+    assert(s.succeeds("once(p(_))"))
+    assert(s.backtracks == 8L)
+  }
+
   test("type-check builtins") {
     assert(family.succeeds("atom(foo)"))
     assert(!family.succeeds("atom(1)"))
@@ -253,5 +309,23 @@ class SolverSpec extends AnyFunSuite {
         |fact(N, F) :- N > 0, N1 is N - 1, fact(N1, F1), F is N * F1.
         |""".stripMargin)
     assert(s.query("fact(10, F)", "F").head.apply("F") == Num(3628800))
+  }
+
+  test("deep recursion runs on a 512 KB stack: resolution does not recurse on the JVM stack") {
+    val s = plainSolver("count(0). count(N) :- N > 0, N1 is N - 1, count(N1).")
+    var proved: Try[Boolean] = null
+    val t = new Thread(null, () => proved = Try(s.succeeds("count(3000)")), "small-stack", 512L * 1024)
+    t.start()
+    t.join()
+    assert(proved == Success(true))
+    assert(s.maxDepthReached == 3000L)
+  }
+
+  test("a goal variable spelled like a fresh variable stays apart from it") {
+    // The reference names a clause's fresh variables _G1, _G2, … and so binds
+    // the goal's _G1 when it renames p/1's X; the solver is not compared here.
+    val s = plainSolver("p(X) :- X = b.")
+    assert(s.query("_G1 = a, p(Y)", "Y").map(_("Y")).toList == List(Atom("b")))
+    assert(s.query("A = a, p(Y)", "Y").map(_("Y")).toList == List(Atom("b")))
   }
 }

@@ -1,6 +1,6 @@
 package repro.prolog
 
-/** Syntactic unification over [[Term]]s.
+/** Syntactic unification over [[Term]]s, for [[ReferenceSolver]].
   *
   * No occurs check, matching SWI-Prolog's default behaviour (the paper's rule
   * sets never create cyclic terms).
