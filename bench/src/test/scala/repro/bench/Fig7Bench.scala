@@ -12,7 +12,7 @@ class Fig7Bench extends SparkSpec {
   private lazy val rows = Fig7.run(spark, runs = 1)
 
   private def speedup(ds: String, q: String): Double =
-    rows.find(r => r.dataset == ds && r.query.startsWith(q)).get.speedup
+    rows.find(r => r.dataset == ds && r.query.name.startsWith(q)).get.speedup
 
   test("Fig. 7 — print per-query runtimes and speedups") {
     println("\n== Fig. 7: query runtimes, base graph vs 2-hop connector view ==")

@@ -27,8 +27,8 @@ class Table4Bench extends SparkSpec {
       "Q7: Community Detection" -> ("Update", "N/A"),
       "Q8: Largest Community" -> ("Retrieval", "Subgraph"))
     rows.foreach { r =>
-      val (op, res) = expected(r.query)
-      assert(r.operation == op && r.result == res, s"${r.query} mismatch")
+      val (op, res) = expected(r.query.name)
+      assert(r.query.operation == op && r.query.result == res, s"${r.query.name} mismatch")
     }
   }
 
@@ -36,12 +36,12 @@ class Table4Bench extends SparkSpec {
     // Q1-Q3 view plans are result-equivalent to base plans (same cardinality
     // here; full result equality is asserted in repro.engine.QueriesSpec).
     for (q <- Seq("Q1: Job Blast Radius", "Q2: Ancestors", "Q3: Descendants")) {
-      val r = rows.find(_.query == q).get
-      assert(r.baseCardinality == r.viewCardinality, s"$q cardinalities differ")
+      val r = rows.find(_.query.name == q).get
+      assert(r.baseRows == r.viewRows, s"$q cardinalities differ")
     }
     // Q4 over the raw graph also reaches File vertices at odd depths; the
     // view sees the Job subset only (equality on jobs checked in QueriesSpec).
-    val q4 = rows.find(_.query == "Q4: Path lengths").get
-    assert(q4.viewCardinality <= q4.baseCardinality && q4.viewCardinality > 0)
+    val q4 = rows.find(_.query.name == "Q4: Path lengths").get
+    assert(q4.viewRows <= q4.baseRows && q4.viewRows > 0)
   }
 }

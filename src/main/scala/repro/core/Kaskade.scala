@@ -64,11 +64,3 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
   def rewrite(q: QueryGraph): Option[Rewriting] =
     QueryRewriter.rewrite(q, schema, stats, materialized, viewSizes)
 }
-
-object Kaskade {
-  /** Build a Kaskade instance by profiling `g` (graph-data properties are
-    * collected at load time, § V-A).
-    */
-  def forGraph(g: PropertyGraph, schema: GraphSchema): Kaskade =
-    new Kaskade(schema, GraphStats.compute(g))
-}

@@ -17,9 +17,7 @@ final case class VarLengthPat(src: String, dst: String, etype: Option[String], l
 }
 
 /** A `RETURN v AS alias` item. */
-final case class ReturnItem(variable: String, alias: Option[String]) {
-  def output: String = alias.getOrElse(variable)
-}
+final case class ReturnItem(variable: String, alias: Option[String])
 
 /** The graph-pattern portion of a query: what the constraint miner consumes.
   *

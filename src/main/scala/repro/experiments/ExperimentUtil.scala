@@ -5,18 +5,17 @@ import org.apache.spark.sql.SparkSession
 /** Shared helpers for the table/figure reproduction harnesses. */
 object ExperimentUtil {
 
-  /** Wall-clock milliseconds of `body` (after a warm-up run when requested).
-    * The action must itself force evaluation (count/collect).
+  /** Wall-clock milliseconds of `body`, the median of `runs` runs, with the
+    * last run's value. The action must itself force evaluation (count/collect).
     */
-  def timeMs[A](warmups: Int = 0, runs: Int = 3)(body: => A): (A, Double) = {
-    (1 to warmups).foreach(_ => body)
-    var last: A = null.asInstanceOf[A]
-    val times = (1 to runs).map { _ =>
+  def timeMs[A](runs: Int = 3)(body: => A): (A, Double) = {
+    require(runs >= 1, s"timeMs needs at least one run, got $runs")
+    val timed = (1 to runs).map { _ =>
       val t0 = System.nanoTime()
-      last = body
-      (System.nanoTime() - t0) / 1e6
+      val a = body
+      (a, (System.nanoTime() - t0) / 1e6)
     }
-    (last, median(times))
+    (timed.last._1, median(timed.map(_._2)))
   }
 
   def median(xs: Seq[Double]): Double = {

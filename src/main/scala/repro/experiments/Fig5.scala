@@ -54,23 +54,21 @@ object Fig5 {
     rows
   }
 
+  private val Sizes = Seq(3000L, 10000L, 30000L, 100000L)
+  private val ProvJobs = 4000L
+  private val DblpAuthors = 10000L
+  private val SocVertices = 10000L
+  private val RoadSide = 230L
+
   /** Run the experiment over all four datasets. */
-  def run(
-      spark: SparkSession,
-      sizes: Seq[Long] = Seq(3000L, 10000L, 30000L, 100000L),
-      provJobs: Long = 4000,
-      dblpAuthors: Long = 10000,
-      socVertices: Long = 10000,
-      roadSide: Long = 230,
-  ): Seq[Row] = {
-    measure("prov", GraphGen.provSummarized(spark, provJobs), GraphSchema.provSummarized, sizes) ++
-      measure("dblp", GraphGen.dblp(spark, dblpAuthors, includeVenues = false),
-        GraphSchema.dblpSummarized, sizes) ++
-      measure("soc-livejournal", GraphGen.socLivejournal(spark, socVertices),
-        GraphSchema.homogeneous("LINK"), sizes) ++
-      measure("roadnet-usa", GraphGen.roadnetUsa(spark, roadSide),
-        GraphSchema.homogeneous("ROAD"), sizes)
-  }
+  def run(spark: SparkSession): Seq[Row] =
+    measure("prov", GraphGen.provSummarized(spark, ProvJobs), GraphSchema.provSummarized, Sizes) ++
+      measure("dblp", GraphGen.dblp(spark, DblpAuthors, includeVenues = false),
+        GraphSchema.dblpSummarized, Sizes) ++
+      measure("soc-livejournal", GraphGen.socLivejournal(spark, SocVertices),
+        GraphSchema.homogeneous("LINK"), Sizes) ++
+      measure("roadnet-usa", GraphGen.roadnetUsa(spark, RoadSide),
+        GraphSchema.homogeneous("ROAD"), Sizes)
 
   def format(rows: Seq[Row]): String = {
     import ExperimentUtil._

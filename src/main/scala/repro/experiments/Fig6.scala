@@ -31,21 +31,20 @@ object Fig6 {
     rows
   }
 
-  def run(
-      spark: SparkSession,
-      provJobs: Long = 256,
-      provTasksPerJob: Int = 2000,
-      dblpAuthors: Long = 20000,
-  ): Seq[Row] =
+  private val ProvJobs = 256L
+  private val ProvTasksPerJob = 2000
+  private val DblpAuthors = 20000L
+
+  def run(spark: SparkSession): Seq[Row] =
     // Production-like funnel: each job writes many files, all consumed by a
     // small successor set — this is what gives the connector its own
     // order-of-magnitude reduction on top of the summarizer (§ VII-E).
     stages("prov",
-      GraphGen.provRaw(spark, provJobs, tasksPerJob = provTasksPerJob,
+      GraphGen.provRaw(spark, ProvJobs, tasksPerJob = ProvTasksPerJob,
         fanOut = 24, readers = 4, crossFrac = 0.02),
       keepTypes = Seq("Job", "File"), connectorType = "Job") ++
       stages("dblp",
-        GraphGen.dblp(spark, dblpAuthors, includeVenues = true),
+        GraphGen.dblp(spark, DblpAuthors, includeVenues = true),
         keepTypes = Seq("Author", "Publication"), connectorType = "Author")
 
   def format(rows: Seq[Row]): String = {

@@ -1,6 +1,6 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KHopConnectorView
 import repro.engine.Queries
@@ -17,9 +17,45 @@ import repro.graph.{GraphGen, PropertyGraph}
   */
 object Fig7 {
 
+  /** One side of a dataset's run: the graph its plans read, the divisor of
+    * their hop and pass bounds (1 on the base graph, 2 on the 2-hop
+    * connector), the anchor vertex Q4 starts from, and the labels of the
+    * side's last Q7 run, which Q8 reads.
+    */
+  final class Side private[Fig7] (
+      val spec: DatasetSpec, val graph: PropertyGraph, val divisor: Int, val source: Long) {
+    private[Fig7] var labels: DataFrame = _
+  }
+
+  /** A Table IV query: its name, operation and result kind, and how it runs
+    * on one side, returning its row count.
+    */
+  final case class Query(name: String, operation: String, result: String, run: Side => Long)
+
+  /** The workload Q1–Q8, in the paper's order. */
+  val queries: Seq[Query] = Seq(
+    Query("Q1: Job Blast Radius", "Retrieval", "Subgraph",
+      s => Queries.q1BlastRadius(s.graph, s.spec.anchorType, s.spec.q1Hops / s.divisor).count()),
+    Query("Q2: Ancestors", "Retrieval", "Set of vertices",
+      s => Queries.q2Ancestors(s.graph, s.spec.anchorType, s.spec.q234Hops / s.divisor).count()),
+    Query("Q3: Descendants", "Retrieval", "Set of vertices",
+      s => Queries.q3Descendants(s.graph, s.spec.anchorType, s.spec.q234Hops / s.divisor).count()),
+    Query("Q4: Path lengths", "Retrieval", "Bag of scalars",
+      s => Queries.q4PathLengths(s.graph, s.source, s.spec.q234Hops / s.divisor).count()),
+    Query("Q5: Edge Count", "Retrieval", "Single scalar", s => Queries.q5EdgeCount(s.graph)),
+    Query("Q6: Vertex Count", "Retrieval", "Single scalar", s => Queries.q6VertexCount(s.graph)),
+    // The timed body runs the LPA passes on every run; Q8 reads the last labels.
+    Query("Q7: Community Detection", "Update", "N/A", { s =>
+      s.labels = Queries.q7CommunityDetection(s.graph, s.spec.lpaIters / s.divisor)
+      s.labels.count()
+    }),
+    Query("Q8: Largest Community", "Retrieval", "Subgraph",
+      s => Queries.q8LargestCommunity(s.graph, s.labels, s.spec.anchorType)._2),
+  )
+
   /** One query's runtimes and the row counts its two plans return. */
   final case class Row(
-      dataset: String, query: String, baseMs: Double, viewMs: Double, baseRows: Long, viewRows: Long) {
+      dataset: String, query: Query, baseMs: Double, viewMs: Double, baseRows: Long, viewRows: Long) {
     def speedup: Double = if (viewMs <= 0) 0 else baseMs / viewMs
   }
 
@@ -49,52 +85,16 @@ object Fig7 {
 
     val source = base.verticesOfType(spec.anchorType)
       .agg(min(col("id"))).collect()(0).getLong(0)
+    val onBase = new Side(spec, base, 1, source)
+    val onView = new Side(spec, view, 2, source)
 
-    def both(q: String)(onBase: => Long)(onView: => Long): Row = {
-      val (nBase, tBase) = timeMs(runs = runs)(onBase)
-      val (nView, tView) = timeMs(runs = runs)(onView)
+    val rows = queries.map { q =>
+      val (nBase, tBase) = timeMs(runs)(q.run(onBase))
+      val (nView, tView) = timeMs(runs)(q.run(onView))
       Row(spec.name, q, tBase, tView, nBase, nView)
     }
-
-    val r1 = both("Q1 blast radius") {
-      Queries.q1BlastRadius(base, spec.anchorType, spec.q1Hops).count()
-    } {
-      Queries.q1BlastRadius(view, spec.anchorType, spec.q1Hops / 2).count()
-    }
-    val r2 = both("Q2 ancestors") {
-      Queries.q2Ancestors(base, spec.anchorType, spec.q234Hops).count()
-    } {
-      Queries.q2Ancestors(view, spec.anchorType, spec.q234Hops / 2).count()
-    }
-    val r3 = both("Q3 descendants") {
-      Queries.q3Descendants(base, spec.anchorType, spec.q234Hops).count()
-    } {
-      Queries.q3Descendants(view, spec.anchorType, spec.q234Hops / 2).count()
-    }
-    val r4 = both("Q4 path lengths") {
-      Queries.q4PathLengths(base, source, spec.q234Hops).count()
-    } {
-      Queries.q4PathLengths(view, source, spec.q234Hops / 2).count()
-    }
-    val r5 = both("Q5 edge count")(Queries.q5EdgeCount(base))(Queries.q5EdgeCount(view))
-    val r6 = both("Q6 vertex count")(Queries.q6VertexCount(base))(Queries.q6VertexCount(view))
-
-    // Q7/Q8: time LPA, keep labels for the largest-community query.
-    var baseLabels: org.apache.spark.sql.DataFrame = null
-    var viewLabels: org.apache.spark.sql.DataFrame = null
-    val r7 = both("Q7 community detection") {
-      baseLabels = Queries.q7CommunityDetection(base, spec.lpaIters); baseLabels.count()
-    } {
-      viewLabels = Queries.q7CommunityDetection(view, spec.lpaIters / 2); viewLabels.count()
-    }
-    val r8 = both("Q8 largest community") {
-      Queries.q8LargestCommunity(base, baseLabels, spec.anchorType)._2
-    } {
-      Queries.q8LargestCommunity(view, viewLabels, spec.anchorType)._2
-    }
-
     view.unpersist(); base.unpersist()
-    Seq(r1, r2, r3, r4, r5, r6, r7, r8)
+    rows
   }
 
   def run(spark: SparkSession, runs: Int = 1): Seq[Row] =
@@ -104,7 +104,7 @@ object Fig7 {
     import ExperimentUtil._
     table(
       Seq("dataset", "query", "base (ms)", "2-hop view (ms)", "speedup"),
-      rows.map(r => Seq(r.dataset, r.query, f"${r.baseMs}%.0f", f"${r.viewMs}%.0f",
+      rows.map(r => Seq(r.dataset, r.query.name, f"${r.baseMs}%.0f", f"${r.viewMs}%.0f",
         f"${r.speedup}%.2fx")))
   }
 }

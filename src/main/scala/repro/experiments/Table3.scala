@@ -23,20 +23,20 @@ object Table3 {
     def paperEvRatio: Double = if (paperV == 0) 0 else paperE / paperV
   }
 
-  /** Generate all five Table III rows at bench scale. */
-  def run(
-      spark: SparkSession,
-      nJobs: Long = 256,
-      tasksPerJob: Int = 1000,
-      dblpAuthors: Long = 20000,
-      socVertices: Long = 20000,
-      roadSide: Long = 160,
-  ): Seq[Row] = {
-    val provRaw = GraphGen.provRaw(spark, nJobs, tasksPerJob = tasksPerJob).cache()
+  private val TasksPerJob = 1000
+  private val DblpAuthors = 20000L
+  private val SocVertices = 20000L
+  private val RoadSide = 160L
+
+  /** Generate all five Table III rows at bench scale, with `nJobs` jobs in
+    * both provenance graphs.
+    */
+  def run(spark: SparkSession, nJobs: Long = 256): Seq[Row] = {
+    val provRaw = GraphGen.provRaw(spark, nJobs, tasksPerJob = TasksPerJob).cache()
     val provSumm = GraphGen.provSummarized(spark, nJobs).cache()
-    val dblp = GraphGen.dblp(spark, dblpAuthors).cache()
-    val soc = GraphGen.socLivejournal(spark, socVertices).cache()
-    val road = GraphGen.roadnetUsa(spark, roadSide).cache()
+    val dblp = GraphGen.dblp(spark, DblpAuthors).cache()
+    val soc = GraphGen.socLivejournal(spark, SocVertices).cache()
+    val road = GraphGen.roadnetUsa(spark, RoadSide).cache()
 
     val rows = Seq(
       Row("prov (raw)", "Data lineage", provRaw.vertexCount, provRaw.edgeCount, 3.2e9, 16.4e9),

@@ -47,9 +47,12 @@ object GraphGen {
   // Provenance graph (heterogeneous; the paper's running example)
   // -------------------------------------------------------------------------
 
+  /** Stages per provenance pipeline. */
+  private val Stages = 8
+
   /** Summarized provenance graph: jobs and files only.
     *
-    * Jobs are organized in pipelines of `stages` stages. Each job writes
+    * Jobs are organized in pipelines of `Stages` stages. Each job writes
     * `fanOut` files; each file is read by `readers` jobs, mostly the next
     * stage(s) of the same pipeline (with probability `crossFrac` a uniformly
     * random job, creating cross-pipeline lineage). Because all files written
@@ -64,20 +67,19 @@ object GraphGen {
   def provSummarized(
       spark: SparkSession,
       nJobs: Long,
-      stages: Int = 8,
       fanOut: Int = 8,
       readers: Int = 3,
       crossFrac: Double = 0.05,
       seed: Long = 11,
   ): PropertyGraph = {
-    require(nJobs >= stages, "need at least one full pipeline")
+    require(nJobs >= Stages, "need at least one full pipeline")
     val nFiles = nJobs * fanOut
 
     val jobs = spark.range(0, nJobs).select(
       col("id"),
       lit("Job").as("vtype"),
       round(lit(1.0) + prand(seed, col("id")) * 9.0, 3).as("cpu"),
-      concat(lit("pipeline_"), (col("id") / stages).cast("long")).as("grp"))
+      concat(lit("pipeline_"), (col("id") / Stages).cast("long")).as("grp"))
 
     val files = spark.range(0, nFiles).select(
       (col("id") + nJobs).as("id"),
@@ -90,7 +92,7 @@ object GraphGen {
       col("id").as("fidx"),
       (col("id") + nJobs).as("fid"),
       (col("id") / fanOut).cast("long").as("writer"))
-      .withColumn("stage", pmod(col("writer"), lit(stages.toLong)))
+      .withColumn("stage", pmod(col("writer"), lit(Stages.toLong)))
       .withColumn("pipeStart", col("writer") - col("stage"))
 
     val writes = fileMeta.select(
@@ -105,7 +107,7 @@ object GraphGen {
       .withColumn("isCross", prand(seed + 2, col("fidx"), col("r")) < crossFrac)
       .withColumn("succOffset", col("stage") + lit(1) + pint(seed + 3, lit(2L), col("fidx"), col("r")))
       .withColumn("reader",
-        when(col("isCross") || col("succOffset") >= stages,
+        when(col("isCross") || col("succOffset") >= Stages,
           pint(seed + 4, lit(nJobs), col("fidx"), col("r")))
         .otherwise(col("pipeStart") + col("succOffset")))
       .filter(col("reader") =!= col("writer"))
@@ -129,13 +131,12 @@ object GraphGen {
       nJobs: Long,
       tasksPerJob: Int = 200,
       nMachines: Long = 64,
-      stages: Int = 8,
       fanOut: Int = 8,
       readers: Int = 3,
       crossFrac: Double = 0.05,
       seed: Long = 11,
   ): PropertyGraph = {
-    val summarized = provSummarized(spark, nJobs, stages, fanOut, readers, crossFrac, seed)
+    val summarized = provSummarized(spark, nJobs, fanOut, readers, crossFrac, seed)
     val taskBase = nJobs * (1 + fanOut) // ids after jobs and files
     val nTasks = nJobs * tasksPerJob
     val machineBase = taskBase + nTasks
@@ -186,6 +187,9 @@ object GraphGen {
   // dblp-net (heterogeneous publications network)
   // -------------------------------------------------------------------------
 
+  private val AuthorsPerPub = 3
+  private val ZipfAlpha = 1.4
+
   /** dblp-like network: authors, publications, venues. Author productivity is
     * Zipf-distributed (power-law collaboration, App. Fig. 8); repeated
     * collaborations make the author-to-author 2-hop connector ~1 order of
@@ -199,8 +203,6 @@ object GraphGen {
       spark: SparkSession,
       nAuthors: Long,
       includeVenues: Boolean = true,
-      authorsPerPub: Int = 3,
-      zipfAlpha: Double = 1.4,
       seed: Long = 21,
   ): PropertyGraph = {
     val nPubs = math.max(1L, (nAuthors * 1.5).toLong)
@@ -223,14 +225,14 @@ object GraphGen {
       (col("id") + venueBase).as("id"), lit("Venue").as("vtype"),
       lit(0.0).as("cpu"), lit("venues").as("grp"))
 
-    // Authorship incidences: every pub gets `authorsPerPub` Zipf-ranked
+    // Authorship incidences: every pub gets `AuthorsPerPub` Zipf-ranked
     // authors, localized within a hash block so collaborations repeat.
     val incidence = spark.range(0, nPubs)
       .select(col("id").as("pidx"), (col("id") + pubBase).as("pid"))
-      .withColumn("a", explode(sequence(lit(0), lit(authorsPerPub - 1))))
+      .withColumn("a", explode(sequence(lit(0), lit(AuthorsPerPub - 1))))
       .withColumn("block", pint(seed + 4, lit(math.max(1L, nAuthors / 50)), col("pidx")))
       .withColumn("author",
-        pmod(col("block") * 50 + zipf(seed + 5, 50L.min(nAuthors), zipfAlpha, col("pidx"), col("a")),
+        pmod(col("block") * 50 + zipf(seed + 5, 50L.min(nAuthors), ZipfAlpha, col("pidx"), col("a")),
           lit(nAuthors)))
       .select(col("pidx"), col("pid"), col("author")).distinct()
 
@@ -259,20 +261,21 @@ object GraphGen {
   // Homogeneous networks
   // -------------------------------------------------------------------------
 
+  private val AvgOutDeg = 14.0
+  private val Gamma = 2.5
+
   /** soc-LiveJournal-like network: homogeneous, directed, power-law in- and
-    * out-degrees (Chung-Lu endpoint sampling), avg out-degree ≈ `avgOutDeg`.
+    * out-degrees (Chung-Lu endpoint sampling), avg out-degree ≈ `AvgOutDeg`.
     * In- and out-hub identities are decorrelated via an affine permutation
     * of the destination rank.
     */
   def socLivejournal(
       spark: SparkSession,
       nVertices: Long,
-      avgOutDeg: Double = 14.0,
-      gamma: Double = 2.5,
       seed: Long = 31,
   ): PropertyGraph = {
     // Oversample ~20% to compensate for hub-pair duplicates removed below.
-    val nDraws = math.max(1L, (nVertices * avgOutDeg * 1.2).toLong)
+    val nDraws = math.max(1L, (nVertices * AvgOutDeg * 1.2).toLong)
 
     val vertices = spark.range(0, nVertices).select(
       col("id"), lit("Node").as("vtype"),
@@ -281,8 +284,8 @@ object GraphGen {
 
     val edges = spark.range(0, nDraws)
       .select(
-        powerLawRank(seed + 2, nVertices, gamma, col("id")).as("src"),
-        pmod(powerLawRank(seed + 3, nVertices, gamma, col("id"), lit(13)) * 999983 + 31,
+        powerLawRank(seed + 2, nVertices, Gamma, col("id")).as("src"),
+        pmod(powerLawRank(seed + 3, nVertices, Gamma, col("id"), lit(13)) * 999983 + 31,
           lit(nVertices)).as("dst"))
       .filter(col("src") =!= col("dst"))
       .distinct()
@@ -292,14 +295,15 @@ object GraphGen {
     PropertyGraph(vertices, edges)
   }
 
+  private val KeepProb = 0.6
+
   /** roadnet-usa-like network: 2D grid (side × side), each right/down edge
-    * kept with probability `keepProb` — near-uniform bounded degree,
-    * E/V ≈ 2·keepProb, no power law.
+    * kept with probability `KeepProb` — near-uniform bounded degree,
+    * E/V ≈ 2·KeepProb, no power law.
     */
   def roadnetUsa(
       spark: SparkSession,
       side: Long,
-      keepProb: Double = 0.6,
       seed: Long = 41,
   ): PropertyGraph = {
     val n = side * side
@@ -314,11 +318,11 @@ object GraphGen {
       pmod(col("id"), lit(side)).as("colIdx"))
 
     val right = base.filter(col("colIdx") < side - 1)
-      .filter(prand(seed + 2, col("id")) < keepProb)
+      .filter(prand(seed + 2, col("id")) < KeepProb)
       .select(col("id").as("src"), (col("id") + 1).as("dst"))
 
     val down = base.filter(col("row") < side - 1)
-      .filter(prand(seed + 3, col("id")) < keepProb)
+      .filter(prand(seed + 3, col("id")) < KeepProb)
       .select(col("id").as("src"), (col("id") + side).as("dst"))
 
     val edges = right.union(down).select(

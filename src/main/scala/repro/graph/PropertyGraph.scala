@@ -45,9 +45,6 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
 
 object PropertyGraph {
 
-  /** Standard edge column set, for generators. */
-  val edgeCols: Seq[String] = Seq("src", "dst", "etype", "ts")
-
   /** Build a graph from in-memory sequences (tests). */
   def of(
       spark: SparkSession,

@@ -41,7 +41,7 @@ class CypherParserSpec extends AnyFunSuite {
       "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b")
     assert(qg.edges == Seq(
       EdgePat("a", "f", Some("WRITES_TO")), EdgePat("f", "b", Some("IS_READ_BY"))))
-    assert(qg.returns.map(_.output) == Seq("a", "b"))
+    assert(qg.returns.map(r => r.alias.getOrElse(r.variable)) == Seq("a", "b"))
   }
 
   test("node without label") {

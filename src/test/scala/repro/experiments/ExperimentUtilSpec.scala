@@ -22,10 +22,9 @@ class ExperimentUtilSpec extends AnyFunSuite {
     assert(t >= 0.0)
   }
 
-  test("timeMs runs warmups without counting them") {
-    var calls = 0
-    val (_, _) = ExperimentUtil.timeMs(warmups = 2, runs = 3) { calls += 1; calls }
-    assert(calls == 5)
+  test("timeMs rejects fewer than one run instead of timing nothing") {
+    val e = intercept[IllegalArgumentException](ExperimentUtil.timeMs(runs = 0)(42))
+    assert(e.getMessage.contains("at least one run"))
   }
 
   test("table renders aligned fixed-width rows") {

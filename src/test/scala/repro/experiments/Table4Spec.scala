@@ -12,12 +12,12 @@ class Table4Spec extends SparkSpec {
   test("Table IV reads each query's base and view cardinalities from Fig. 7's run") {
     val spec = DatasetSpec("prov", GraphGen.provSummarized(spark, nJobs = 16), "Job",
       q1Hops = 4, q234Hops = 2, lpaIters = 2)
-    val rows = Table4.run(spec)
+    val rows = Fig7.runDataset(spec)
     assert(rows.size == 8)
     // The view plans of Q1-Q3 are equivalent rewritings of the base plans.
-    for (r <- rows.take(3)) assert(r.baseCardinality == r.viewCardinality, r.query)
+    for (r <- rows.take(3)) assert(r.baseRows == r.viewRows, r.query.name)
     // Q4 over the base graph also reaches files; over the view, only jobs.
     val q4 = rows(3)
-    assert(q4.query.startsWith("Q4") && q4.viewCardinality >= 1 && q4.viewCardinality <= q4.baseCardinality)
+    assert(q4.query.name.startsWith("Q4") && q4.viewRows >= 1 && q4.viewRows <= q4.baseRows)
   }
 }
