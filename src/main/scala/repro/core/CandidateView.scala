@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{broadcast, col}
 import repro.cypher.QueryGraph
 import repro.engine.GraphOps
 import repro.graph.{GraphSchema, GraphStats, PropertyGraph}
@@ -89,7 +89,8 @@ import CandidateView._
   * Fig. 3). `label` is the contracted edge type, e.g. `2_HOP_JOB_TO_JOB`
   * as in the paper's Lst. 4. Each (src, dst) pair gets one edge, with `ts`
   * the max over its contracted walks and `paths` their number; the view's
-  * vertices are those of the endpoint types.
+  * vertices are those of the endpoint types. The walks are semi-joined with
+  * the broadcast source and sink ids (DESIGN.md § 1, set-up join rule).
   */
 final case class KHopConnectorView(srcType: String, dstType: String, k: Int) extends CandidateView {
   def label: String = s"${k}_HOP_${srcType.toUpperCase}_TO_${dstType.toUpperCase}"
@@ -104,7 +105,7 @@ final case class KHopConnectorView(srcType: String, dstType: String, k: Int) ext
     SizeEstimator.estimate(stats, schema, k, CostModel.DefaultAlpha)
   override def build(g: PropertyGraph): PropertyGraph = {
     val walks = GraphOps.kHopPaths(g.edges, k)
-      .join(g.verticesOfType(srcType).select(col("id").as("src")), Seq("src"), "left_semi")
+      .join(broadcast(g.verticesOfType(srcType).select(col("id").as("src"))), Seq("src"), "left_semi")
     val viewVertices = g.vertices.filter(col("vtype").isin(Seq(srcType, dstType).distinct: _*))
     PropertyGraph(viewVertices, GraphOps.contract(walks, ids(g, dstType), label))
   }

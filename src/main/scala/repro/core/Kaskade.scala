@@ -32,7 +32,11 @@ final class Kaskade(val schema: GraphSchema, val stats: GraphStats) {
     * summarizer's vertices are `g`'s, and `g`'s cache stays. The RDD count
     * fills the edge cache in one job, with no aggregate exchange, and runs
     * before the vertices are cached, so that it does not build their cache
-    * inside its job.
+    * inside its job. The build semi-joins its endpoint-type id sets through
+    * broadcasts (DESIGN.md § 1, set-up join rule): materializing the Job→Job
+    * 2-hop connector runs 7 Spark jobs, this count included, in
+    * `KaskadeIntegrationSpec`; kbench's `prov-views` span around it, which
+    * also counts both sides of the view, runs 12.
     *
     * A view this call replaces is released before the build: a build over the
     * same graph has the same plan, and Spark's cache manager would share the

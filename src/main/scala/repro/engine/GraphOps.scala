@@ -58,22 +58,25 @@ object GraphOps {
     * walk of 1..`maxHops` `edges`, with `ts` = max timestamp over the walks
     * and `paths` = their number. `sources` and `sinks` are `id` columns; the
     * view's vertices are theirs. `maxHops` ends the walk on cyclic inputs.
+    * Both id sets are semi-joined through a broadcast, duplicates and all
+    * (DESIGN.md § 1, set-up join rule).
     */
   def pathContraction(g: PropertyGraph, sources: DataFrame, sinks: DataFrame, edges: DataFrame,
       maxHops: Int, label: String): PropertyGraph = {
     val seed = sources.select(
       col("id").as("src"), col("id").as("cur"), lit(0L).as("ts"), lit(1L).as("paths"))
     val walks = frontiers(seed, edges, maxHops)((moved, _) => perPair(moved)).reduce(_ union _)
-    val endpointIds = sources.union(sinks).distinct()
-    PropertyGraph(g.vertices.join(endpointIds, Seq("id"), "left_semi"), contract(walks, sinks, label))
+    PropertyGraph(g.vertices.join(broadcast(sources.union(sinks)), Seq("id"), "left_semi"),
+      contract(walks, sinks, label))
   }
 
   /** One `label` edge per pair of distinct vertices that `walks` rows join,
-    * ending at a `sinks` id: max `ts`, summed `paths`.
+    * ending at a `sinks` id: max `ts`, summed `paths`. The sink ids are
+    * broadcast, so `walks` is not shuffled for the semi-join.
     */
   private[repro] def contract(walks: DataFrame, sinks: DataFrame, label: String): DataFrame =
     walks
-      .join(sinks.withColumnRenamed("id", "cur"), Seq("cur"), "left_semi")
+      .join(broadcast(sinks.withColumnRenamed("id", "cur")), Seq("cur"), "left_semi")
       .filter(col("src") =!= col("cur"))
       .groupBy(col("src"), col("cur").as("dst"))
       .agg(max("ts").as("ts"), sum("paths").as("paths"))

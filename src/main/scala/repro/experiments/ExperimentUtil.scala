@@ -53,9 +53,14 @@ object ExperimentUtil {
     * `prov-views` (4 vCPU, seeds 1–2, one run each), one shuffle partition
     * per core here cut `setup_s` to 2.67 / 3.04 s, but it also shrank the
     * base layout, so the raw plan sped up and `view_speedup` fell from 3.82
-    * to 2.28 / 2.27; turning broadcast joins on gave `setup_s` 5.23 / 6.17 s,
-    * no set-up gain, and `view_speedup` 3.14 / 3.42. Changing either is a
-    * benchmark change that re-baselines, not a set-up optimisation.
+    * to 2.28 / 2.27; turning broadcast joins on for the whole session moved
+    * `view_speedup` to 3.14 / 3.42, since it changes the raw plan too. So the
+    * session stays broadcast-off, and only Kaskade's set-up hints its type-id
+    * semi-joins with `broadcast(...)` (DESIGN.md § 1, set-up join rule): over
+    * 10 alternating pairs on `prov-views` (4 vCPU, seeds 601–610) that cut
+    * the median `setup_s` from 2.45 to 1.93 s, with `view_speedup` at 3.85
+    * and 3.93. Changing either setting is a benchmark change that
+    * re-baselines, not a set-up optimisation.
     */
   def session(app: String): SparkSession = {
     val s = SparkSession.builder

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.JobCount
+import org.apache.spark.{ExecutedPlans, JobCount}
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec}
 import repro.TraversalOracle.assertContraction
@@ -24,8 +24,9 @@ class KaskadeIntegrationSpec extends SparkSpec {
 
   /** Spark jobs that materializing the blast radius's selection on
     * `summarized` runs: the 2-hop connector alone, its edges counted once.
+    * Its source and sink semi-joins read broadcast id sets.
     */
-  private val MaterializeSelectionJobs = 8
+  private val MaterializeSelectionJobs = 7
 
   test("pipeline: summarizer chosen on the raw schema removes tasks+machines") {
     val kas = new Kaskade(GraphSchema.provRaw, GraphStats.compute(raw))
@@ -80,6 +81,19 @@ class KaskadeIntegrationSpec extends SparkSpec {
     // on the built size: the α = 95 estimate, 4352 edges here, is above it.
     assert(kas.viewSizes.values.forall(_ < baseEdges), kas.viewSizes)
     kas.materialized.foreach(v => kas.viewGraph(v).foreach(_.unpersist()))
+  }
+
+  test("Q1 runs no broadcast join, on the base graph or on a materialized view") {
+    val kas = new Kaskade(GraphSchema.provSummarized, GraphStats.compute(smallSummarized))
+    val view = kas.materialize(KHopConnectorView("Job", "Job", 2), smallSummarized)
+    for ((g, hops) <- Seq(smallSummarized -> 4, view -> 2)) {
+      val (_, plans) = ExecutedPlans.of(spark)(Queries.q1BlastRadius(g, "Job", hops).collect())
+      val ops = plans.flatten.toSet
+      // The traversal's joins are in the plans the check reads.
+      assert(ops.contains("SortMergeJoin"), ops)
+      assert(!ops.exists(_.startsWith("Broadcast")), ops)
+    }
+    view.unpersist()
   }
 
   /** `g` cached in 64 partitions per side: the generator's layout under the

@@ -1,6 +1,9 @@
 package repro.graph
 
-import repro.SparkSpec
+import scala.util.Try
+import org.apache.spark.JobCount
+import org.scalacheck.Gen
+import repro.{PropSampling, SparkSpec}
 
 class GraphStatsSpec extends SparkSpec {
 
@@ -70,5 +73,55 @@ class GraphStatsSpec extends SparkSpec {
       edges = Seq((0L, 1L, "LINK", 1L)))
     val s = GraphStats.compute(homo)
     assert(s.pooled == s.typeStats("Node"))
+  }
+
+  /** Spark jobs of one profile: the per-type aggregation and the edge-type
+    * count, which runs alongside it.
+    */
+  private val ComputeJobs = 5
+
+  test("a profile runs a fixed number of Spark jobs") {
+    val (_, work) = JobCount.of(spark.sparkContext)(GraphStats.compute(g))
+    assert(work.jobs == ComputeJobs)
+  }
+
+  test("a profile that throws still ends the edge-type count before it returns") {
+    val typeless = PropertyGraph(g.vertices.drop("vtype"), g.edges)
+    val (profiled, work) = JobCount.of(spark.sparkContext)(Try(GraphStats.compute(typeless)))
+    assert(profiled.isFailure)
+    assert(work.jobs > 0 && work.running == 0, work)
+  }
+}
+
+/** The join-free profile equals the join formulation it replaced,
+  * [[ReferenceStats]], on random typed graphs with unique vertex ids.
+  */
+class GraphStatsPropSpec extends SparkSpec with PropSampling {
+
+  override def samples: Int = 20
+
+  /** Vertex types by id, and edges `(src, dst, etype)`. */
+  private val genGraph = for {
+    n <- Gen.choose(1, 10)
+    vtypes <- Gen.listOfN(n, Gen.oneOf("A", "B", "C", "D"))
+    m <- Gen.choose(0, 12)
+    // Sources up to n + 2: edges out of an id that is no vertex.
+    edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0L, n + 2L), Gen.choose(0L, n - 1L), Gen.oneOf("X", "Y")))
+    loops <- Gen.choose(0, 2).flatMap(Gen.listOfN(_, Gen.choose(0L, n - 1L)))
+  } yield (vtypes, edges ++ loops.map(v => (v, v, "L")))
+
+  test("compute equals the join formulation on random typed graphs") {
+    var withIsolated, withLoops, withDangling = 0
+    forAll(genGraph) { case (vtypes, edges) =>
+      val g = PropertyGraph.of(spark,
+        vertices = vtypes.zipWithIndex.map { case (t, i) => (i.toLong, t, 1.0, "g") },
+        edges = edges.zipWithIndex.map { case ((s, d, t), i) => (s, d, t, i.toLong) })
+      assert(GraphStats.compute(g) == ReferenceStats.compute(g))
+      if (vtypes.indices.exists(v => !edges.exists(_._1 == v))) withIsolated += 1
+      if (edges.exists(e => e._1 == e._2)) withLoops += 1
+      if (edges.exists(_._1 >= vtypes.size)) withDangling += 1
+    }
+    // The samples cover each case the profile must get right.
+    assert(Seq(withIsolated, withLoops, withDangling).forall(_ > 0), (withIsolated, withLoops, withDangling))
   }
 }
