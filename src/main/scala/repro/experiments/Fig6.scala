@@ -14,7 +14,7 @@ object Fig6 {
     def effectiveSize: Long = vertices + edges
   }
 
-  private def stages(
+  private[repro] def stages(
       name: String,
       raw: PropertyGraph,
       keepTypes: Seq[String],

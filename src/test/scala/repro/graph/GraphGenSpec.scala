@@ -60,6 +60,7 @@ class GraphGenSpec extends SparkSpec {
   test("prov raw adds Task and Machine vertices that dominate the graph") {
     val types = provRaw.vertices.groupBy("vtype").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
+    assert(types.keySet == Set("Job", "File", "Task", "Machine"))
     assert(types("Task") == 24L * 10)
     assert(types("Machine") == 4L)
     assert(types("Task") > types("Job"))
