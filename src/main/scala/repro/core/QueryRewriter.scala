@@ -62,8 +62,9 @@ object QueryRewriter {
   }
 
   /** The best rewriting (lowest estimated cost), if any view applies and
-    * actually improves on the raw plan. Derives `q`'s k-hop instantiations
-    * on every call.
+    * actually improves on the raw plan. `q`'s k-hop instantiations come from
+    * [[ViewEnumerator.enumeration]], so the solver runs only for a pattern
+    * shape not planned before on `schema`, whatever its variable names.
     */
   def rewrite(
       q: QueryGraph,

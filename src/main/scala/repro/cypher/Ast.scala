@@ -46,4 +46,13 @@ final case class QueryGraph(
   /** Out-degree of a pattern vertex counting both edge kinds. */
   def outDegree(v: String): Int =
     edges.count(_.src == v) + varPaths.count(_.src == v)
+
+  /** The same pattern with every variable `v` renamed to `f(v)`; return
+    * aliases are kept.
+    */
+  def renamed(f: String => String): QueryGraph = QueryGraph(
+    vertexLabels.map { case (v, l) => f(v) -> l },
+    edges.map(e => e.copy(src = f(e.src), dst = f(e.dst))),
+    varPaths.map(p => p.copy(src = f(p.src), dst = f(p.dst))),
+    returns.map(r => r.copy(variable = f(r.variable))))
 }

@@ -1,10 +1,10 @@
 package repro.core
 
-import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSampling
-import repro.cypher.{CypherParser, QueryGraph}
-import repro.graph.{GraphSchema, GraphStats, TypeStats}
+import repro.core.ChainPatterns.{uniformStats, workloads}
+import repro.cypher.QueryGraph
+import repro.graph.GraphSchema
 import repro.prolog.{Database, ReferenceSolver, Solver}
 
 /** The view templates wrap their bound existence checks in `once/1`. The
@@ -14,9 +14,6 @@ import repro.prolog.{Database, ReferenceSolver, Solver}
   */
 class OnceOracleSpec extends AnyFunSuite with PropSampling {
   override def samples: Int = 60
-
-  private val schemas = Seq(GraphSchema.provRaw, GraphSchema.provSummarized, GraphSchema.dblpRaw,
-    GraphSchema.dblpSummarized, GraphSchema.homogeneous())
 
   private val oracleTemplates = ViewTemplates.all.replace("once(", "call(")
 
@@ -28,42 +25,6 @@ class OnceOracleSpec extends AnyFunSuite with PropSampling {
     ViewEnumerator.enumeration(q, new Solver(db))
   }
 
-  /** A chain of 1..3 segments from a random vertex type: each segment is a
-    * schema edge out of the current type, or a variable-length path with
-    * bounds in 0..4 to a random type. Returns the ends, and sometimes a
-    * middle vertex.
-    */
-  private def chain(schema: GraphSchema): Gen[String] = for {
-    n <- Gen.choose(1, 3)
-    start <- Gen.oneOf(schema.vertexTypes)
-    segments <- Gen.listOfN(n, Gen.zip(Gen.prob(0.5), Gen.choose(0, 4), Gen.choose(0, 4),
-      Gen.oneOf(schema.vertexTypes), Gen.choose(0, 7)))
-    projectMiddle <- Gen.prob(0.3)
-  } yield {
-    val (types, rels) = segments.foldLeft((Vector(start), Vector.empty[String])) {
-      case ((ts, rs), (fixed, a, b, anyType, pick)) =>
-        val out = schema.edges.filter(_.srcType == ts.last)
-        if (fixed && out.nonEmpty) {
-          val e = out(pick % out.size)
-          (ts :+ e.dstType, rs :+ s"-[:${e.etype}]->")
-        } else (ts :+ anyType, rs :+ s"-[r${rs.size}*${math.min(a, b)}..${math.max(a, b)}]->")
-    }
-    def v(i: Int) = s"(v$i:${types(i)})"
-    val matches = rels.indices.map(i => s"${v(i)}${rels(i)}${v(i + 1)}")
-    val returns = (Seq(0, types.size - 1) ++ Option.when(projectMiddle && types.size > 2)(1)).map(i => s"v$i")
-    s"MATCH ${matches.mkString(", ")} RETURN ${returns.mkString(", ")}"
-  }
-
-  private def uniformStats(s: GraphSchema): GraphStats =
-    GraphStats(100L * s.vertexTypes.size, 300L * s.edgeTypes.size,
-      s.vertexTypes.map(t => TypeStats(t, 100L, 2.0, 4.0, 5.0, 12.0)), s.edgeTypes.map(_ -> 300L).toMap)
-
-  private val workloads: Gen[(GraphSchema, Seq[QueryGraph])] = for {
-    schema <- Gen.oneOf(schemas)
-    n <- Gen.choose(1, 3)
-    qs <- Gen.listOfN(n, chain(schema))
-  } yield (schema, qs.map(CypherParser.parse))
-
   test("once/1 in the templates changes no candidate, k-hop instantiation or selection") {
     forAll(workloads) { case (schema, workload) =>
       val withOnce = workload.map(ViewEnumerator.enumeration(_, schema))
@@ -71,7 +32,8 @@ class OnceOracleSpec extends AnyFunSuite with PropSampling {
       withOnce.zip(withCall).foreach { case (e, o) =>
         assert(e.candidates.map(_.key) == o.candidates.map(_.key), e.query)
         assert(e.kHops == o.kHops, e.query)
-        assert(e.kHops == ViewEnumerator.kHopInstantiations(e.query, schema), e.query)
+        val fresh = ViewEnumerator.enumeration(e.query, new Solver(ViewEnumerator.buildDatabase(e.query, schema)))
+        assert(e.kHops == fresh.kHops, e.query)
       }
       val stats = uniformStats(schema)
       def chosen(es: Seq[ViewEnumerator.Enumeration]) =

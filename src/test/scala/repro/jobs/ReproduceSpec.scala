@@ -1,6 +1,6 @@
 package repro.jobs
 
-import java.io.ByteArrayOutputStream
+import java.io.{ByteArrayOutputStream, PrintStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.ViewCatalog
 
@@ -9,14 +9,17 @@ class ReproduceSpec extends AnyFunSuite {
 
   private def output(artifact: String): String = {
     val out = new ByteArrayOutputStream()
-    Console.withOut(out)(Reproduce.run(artifact, None))
+    Console.withOut(new PrintStream(out, true, "UTF-8"))(Reproduce.run(artifact, None))
     out.toString("UTF-8")
   }
 
   test("catalog prints the § IV-B kHopConnector instantiations") {
-    val listing = output("catalog").linesIterator.filter(_.startsWith("(X=")).toSeq
+    val lines = output("catalog").linesIterator.toSeq
+    val listing = lines.filter(_.startsWith("(X="))
     assert(listing == Seq(2, 4, 6, 8, 10).map(k =>
       s"(X='q_j1', Y='q_j2', XTYPE='Job', YTYPE='Job', K=$k)"))
+    val heading = lines.indexWhere(_.startsWith("(X=")) - 1
+    assert(heading >= 0 && lines(heading) == "== § IV-B: kHopConnector instantiations for the blast-radius query ==")
   }
 
   test("catalog holds every Table I and Table II class, each view as a MATCH query") {
