@@ -11,7 +11,9 @@ Usage, from anywhere:
 Each ``--pairs W:A-B`` runs ``python3 kbench/run.py --workload W --seed S
 --seconds 5 --trace 0`` once in each checkout for every seed S in A..B. Pair
 i runs the parent first when i is even and the change first when it is odd.
-Each ``--traced W:S`` runs one such pair with ``--trace 1``. The output keeps,
+Several ``--pairs`` of one workload add to one series of pairs; the pair
+index restarts with each. Each ``--traced W:S`` runs one such pair, parent
+first, with ``--trace 1``. The output keeps,
 per workload, every pair's end-to-end metrics (the ``end_to_end`` names of
 the change's BENCHMARK.json) with ``correct`` and ``failed``, and per metric
 each side's median and quartiles (exclusive method), the change's median over
@@ -95,13 +97,11 @@ def main():
 
     for spec in args.pairs:
         workload, span = seeds(spec)
-        pairs = []
-        doc["workloads"][workload] = {"summary": {}, "pairs": pairs}
+        pairs = doc["workloads"].setdefault(workload, {"summary": {}, "pairs": []})["pairs"]
         for i, seed in enumerate(span):
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {"seed": seed}
-            for side in sides:
-                pair[side] = values(run(getattr(args, side), workload, seed, args.seconds, False), names)
+            pair = {side: values(run(getattr(args, side), workload, seed, args.seconds, False), names)
+                    for side in sides}
             pairs.append({"seed": seed, "parent": pair["parent"], "change": pair["change"]})
             doc["workloads"][workload]["summary"] = summary(pairs, end_to_end)
             save()
